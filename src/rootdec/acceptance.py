@@ -59,13 +59,17 @@ from .bcgroups import (
     ambient_degree,
     bc_inversion_set,
     bc_positive_roots,
-    count_bc,
     embed_B,
     embed_C,
     fiber,
     mirror_index,
 )
-from .decompose import count_structural, enumerate_decompositions, is_irreducible_structural
+from .decompose import (
+    count_structural,
+    enumerate_decompositions,
+    exact_covers,
+    is_irreducible_structural,
+)
 from .genseries import catalan, series_A, series_B, series_CatB, series_SB, simple_pairs_A
 from .inflation import (
     inflate,
@@ -282,65 +286,25 @@ def criterion_3() -> Check:
 def _brute_bc_counts(family: str, n: int) -> tuple[int, int, int]:
     """Exhaustive (irreducible, maximal, triples) counts over W(B_n)/W(C_n).
 
-    Independent of the structural recursions: enumerates all 2^n * n! signed
-    permutations, records their inversion sets as bitmasks over the n^2
-    positive roots, and counts disjoint unions directly.
+    Independent of the structural recursions: collects the inversion sets of
+    all 2^n * n! signed permutations and counts their exact covers of the
+    n^2 positive roots with :func:`exact_covers`.
     """
+    sets = dict.fromkeys(bc_inversion_set(sigma, family) for sigma in all_signed_permutations(n))
+    del sets[frozenset()]
     roots = bc_positive_roots(family, n)
-    index = {gamma: k for k, gamma in enumerate(roots)}
-    full = (1 << len(roots)) - 1
-    masks: set[int] = set()
-    for sigma in all_signed_permutations(n):
-        mask = 0
-        for gamma in bc_inversion_set(sigma, family):
-            mask |= 1 << index[gamma]
-        masks.add(mask)
-    masks.discard(0)
-    nonzero = sorted(masks)
-
-    def splittable(m: int) -> bool:
-        sub = (m - 1) & m
-        while sub:
-            if sub in masks and (m ^ sub) in masks:
-                return True
-            sub = (sub - 1) & m
-        return False
-
-    irreducible_masks = [m for m in nonzero if not splittable(m)]
-
-    simple_roots_bc = [BCRoot(n, family, DIFF, i, i + 1) for i in range(1, n)]
+    simple = [BCRoot(n, family, DIFF, i, i + 1) for i in range(1, n)]
     if family == TYPE_B:
-        simple_roots_bc.append(BCRoot(n, family, SHORT, n))
+        simple.append(BCRoot(n, family, SHORT, n))
     else:
-        simple_roots_bc.append(BCRoot(n, family, SUM, n, n))
-    simple_bits = 0
-    for gamma in simple_roots_bc:
-        simple_bits |= 1 << index[gamma]
+        simple.append(BCRoot(n, family, SUM, n, n))
 
-    def count(parts_pool: list[int], exact_r: int | None, allow_id: bool) -> int:
-        found = 0
+    def covers(parts: list[frozenset[BCRoot]], r: int | None = None, pad: bool = False) -> int:
+        return sum(1 for _ in exact_covers(roots, simple, [(s, s) for s in parts], r, pad))
 
-        def descend(covered: int, used: int) -> None:
-            nonlocal found
-            if covered == full:
-                if exact_r is None or used == exact_r or (allow_id and used < exact_r):
-                    found += 1
-                return
-            if exact_r is not None and used >= exact_r:
-                return
-            lowest = (~covered & full) & -(~covered & full)
-            for m in parts_pool:
-                if m & lowest and not (m & covered):
-                    descend(covered | m, used + 1)
-
-        descend(0, 0)
-        return found
-
-    irreducible = count(irreducible_masks, None, False)
-    one_simple = [m for m in nonzero if bin(m & simple_bits).count("1") == 1]
-    maximal = count(one_simple, n, False)
-    triples = count(nonzero, 3, True)
-    return irreducible, maximal, triples
+    irreducible = [s for s in sets if not any(t < s and s - t in sets for t in sets)]
+    maximal = [s for s in sets if len(s.intersection(simple)) == 1]
+    return covers(irreducible), covers(maximal, n), covers(list(sets), 3, pad=True)
 
 
 def criterion_4() -> Check:
@@ -369,9 +333,9 @@ def criterion_4() -> Check:
         for n in range(1, 4):
             irreducible, maximal, triples = _brute_bc_counts(family, n)
             expected = (
-                count_bc("BC_IRREDUCIBLE", n)[n],
-                count_bc("BC_MAXIMAL", n)[n],
-                count_bc("BC_TRIPLES", n)[n],
+                count_structural("BC_IRREDUCIBLE", n)[n],
+                count_structural("BC_MAXIMAL", n)[n],
+                count_structural("BC_TRIPLES", n)[n],
             )
             if (irreducible, maximal, triples) != expected:
                 problems.append(

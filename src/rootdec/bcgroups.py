@@ -7,8 +7,9 @@ every question about B/C inversion sets into a question about ordinary
 inversion sets, answered by :mod:`rootdec.permcore` and
 :mod:`rootdec.decompose`.  This module provides the embeddings, the
 projection from ambient positive roots onto B/C positive roots (with its
-fibers), B/C inversion sets, decomposition verification, the symmetric
-inflation construction, and the B/C counting families.
+fibers), B/C inversion sets, decomposition verification, and the
+symmetric inflation construction.  The B/C counting families live in
+:func:`rootdec.decompose.count_structural`.
 
 The primed-index convention lives in one helper: the partner of position i
 in ambient degree d is d+1-i.  Everything downstream uses it.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .decompose import CountTable, count_structural, verify_decomposition
+from .decompose import VerifyResult
 from .inflation import inflate, is_simple
 from .permcore import (
     Perm,
@@ -49,7 +50,6 @@ __all__ = [
     "bc_is_simple",
     "bc_longest",
     "bc_positive_roots",
-    "count_bc",
     "embed_B",
     "embed_C",
     "fiber",
@@ -426,14 +426,20 @@ def bc_inversion_set(sigma: SignedPermutation, family: str) -> frozenset[BCRoot]
     return frozenset(project(sigma.n, root) for root in inversion_set(embedded))
 
 
-def verify_bc_decomposition(family: str, sigmas: Iterable[SignedPermutation]) -> bool:
-    """True iff the embedded inversion sets partition the ambient positive system.
+def verify_bc_decomposition(
+    family: str, sigmas: Iterable[SignedPermutation], allow_identity: bool = True
+) -> VerifyResult:
+    """Check that the B/C inversion sets of ``sigmas`` partition the positive system.
 
-    Equivalently (fiber consistency) the B/C inversion sets partition the
-    rank-n positive system.  Ranks must agree.
+    Diagnostics name the first root covered twice, else the first root not
+    covered, in :func:`bc_positive_roots` order; with ``allow_identity``
+    false an identity part is also rejected.  Ranks must agree.  By fiber
+    consistency the verdict equals that of verifying the embeddings.
 
-    >>> verify_bc_decomposition("B", [SignedPermutation((-1,))])
-    True
+    >>> verify_bc_decomposition("B", [SignedPermutation((-1,))]).detail
+    'valid decomposition of the rank-1 type-B positive system'
+    >>> verify_bc_decomposition("B", [SignedPermutation((-1,))] * 2).detail
+    'root e1 covered by parts 1 and 2'
     """
     _check_family(family)
     sigmas = list(sigmas)
@@ -443,8 +449,23 @@ def verify_bc_decomposition(family: str, sigmas: Iterable[SignedPermutation]) ->
     if len(ranks) > 1:
         raise ValueError(f"rank mismatch: {sorted(ranks)}")
     (n,) = ranks
-    embedded = [_embed(sigma, family) for sigma in sigmas]
-    return verify_decomposition(ambient_degree(family, n), embedded).ok
+    covering: dict[BCRoot, list[int]] = {}
+    for k, sigma in enumerate(sigmas, start=1):
+        for gamma in bc_inversion_set(sigma, family):
+            covering.setdefault(gamma, []).append(k)
+    roots = bc_positive_roots(family, n)
+    for gamma in roots:
+        if len(covering.get(gamma, ())) > 1:
+            a, b = covering[gamma][:2]
+            return VerifyResult(False, f"root {gamma} covered by parts {a} and {b}")
+    for gamma in roots:
+        if gamma not in covering:
+            return VerifyResult(False, f"root {gamma} not covered by any part")
+    if not allow_identity:
+        for k, sigma in enumerate(sigmas, start=1):
+            if sigma == bc_identity(n):
+                return VerifyResult(False, f"part {k} is the identity")
+    return VerifyResult(True, f"valid decomposition of the rank-{n} type-{family} positive system")
 
 
 def bc_is_simple(sigma: SignedPermutation, family: str) -> bool:
@@ -506,32 +527,6 @@ def symmetric_inflate(
     inflated = inflate(_embed(skeleton, family), slots)
     assert is_symmetric(inflated), "symmetric inflation produced an asymmetric result"
     return _from_symmetric(family, inflated)
-
-
-# ---------------------------------------------------------------------------
-# counting
-
-
-def count_bc(family: str, n_max: int) -> CountTable:
-    """The B/C counting tables, delegated to the structural recursions.
-
-    Accepts ``BC_IRREDUCIBLE``, ``BC_MAXIMAL``, ``BC_TRIPLES``, and
-    ``SIMPLE_PAIRS_BC``; the type-A families live in
-    :func:`rootdec.decompose.count_structural`.
-
-    >>> count_bc("BC_IRREDUCIBLE", 4)[4]
-    100
-    >>> count_bc("BC_TRIPLES", 3)[3]
-    33
-    >>> count_bc("BC_MAXIMAL", 2)[2]
-    3
-    """
-    if family not in ("BC_IRREDUCIBLE", "BC_MAXIMAL", "BC_TRIPLES", "SIMPLE_PAIRS_BC"):
-        raise ValueError(
-            f"count_bc handles the B/C families, got {family!r};"
-            " use count_structural for type A"
-        )
-    return count_structural(family, n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,7 @@ is domain-invalid (a non-decomposition, an out-of-bounds degree), 2 for
 parse and usage errors.  Machine formats (``--format csv`` / ``json``) print
 deterministically, so identical invocations give identical bytes.
 
-``ROOTDEC_THREADS`` caps worker parallelism.  Every current engine is a
-single-process exact computation, so the cap never changes results; the
-variable is validated and reserved so scripts can set it uniformly.  A
-``--config FILE`` of ``key = value`` lines may set ``brute_force_bound``
+A ``--config FILE`` of ``key = value`` lines may set ``brute_force_bound``
 (degree ceiling for exhaustive enumeration, default 8) and ``series_order``
 (default order for ``series``, default 40).
 """
@@ -19,18 +16,16 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 
 from .bcgroups import (
     TYPE_B,
-    bc_identity,
     bc_inversion_set,
-    bc_positive_roots,
     embed_B,
     embed_C,
     parse_signed_permutation,
+    verify_bc_decomposition,
 )
 from .decompose import (
     DEFAULT_ENUMERATION_BOUND,
@@ -70,23 +65,13 @@ SERIES_BY_NAME = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Settings resolved from defaults, the config file, and the environment."""
+    """Settings resolved from defaults and the config file."""
 
-    command: str
-    output_format: str = "text"
     brute_force_bound: int = DEFAULT_ENUMERATION_BOUND
     series_order: int = DEFAULT_SERIES_ORDER
-    threads: int = 1
 
     def __post_init__(self) -> None:
-        if not self.command:
-            raise ValueError("command must be nonempty")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ValueError(
-                f"output format must be one of {OUTPUT_FORMATS}, "
-                f"got {self.output_format!r}"
-            )
-        for name in ("brute_force_bound", "series_order", "threads"):
+        for name in CONFIG_KEYS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
@@ -122,14 +107,6 @@ def load_config_file(path: str) -> dict[str, int]:
             )
         values[key] = int(value)
     return values
-
-
-def _threads_from_env(raw: str | None) -> int:
-    if raw is None or raw == "":
-        return 1
-    if not raw.isdigit() or int(raw) < 1:
-        raise ValueError(f"ROOTDEC_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 def _split_segments(text: str) -> list[str]:
@@ -247,24 +224,6 @@ def _part_report_BC(index: int, part, family: str) -> dict[str, object]:
     }
 
 
-def _bc_diagnostic(family: str, parts) -> tuple[bool, str]:
-    n = parts[0].n
-    cover: dict[object, list[int]] = {}
-    for k, part in enumerate(parts, start=1):
-        for gamma in bc_inversion_set(part, family):
-            cover.setdefault(gamma, []).append(k)
-    for gamma in bc_positive_roots(family, n):
-        owners = cover.get(gamma, [])
-        if len(owners) > 1:
-            return False, (
-                f"root {gamma} covered by parts {owners[0]} and {owners[1]}"
-            )
-    for gamma in bc_positive_roots(family, n):
-        if gamma not in cover:
-            return False, f"root {gamma} not covered by any part"
-    return True, f"valid decomposition of the rank-{n} type-{family} positive system"
-
-
 def _print_verify_report(
     fmt: str, kind: str, valid: bool, detail: str, rows: list[dict[str, object]]
 ) -> None:
@@ -317,27 +276,18 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    allow_identity = not args.strict_no_identity
     if args.type == "A":
-        n = len(parts[0])
-        result = verify_decomposition(
-            n, parts, allow_identity=not args.strict_no_identity
-        )
-        valid, detail = result.ok, result.detail
+        result = verify_decomposition(len(parts[0]), parts, allow_identity)
         rows = [_part_report_A(k, part) for k, part in enumerate(parts, start=1)]
     else:
-        valid, detail = _bc_diagnostic(args.type, parts)
-        if valid and args.strict_no_identity:
-            blank = bc_identity(parts[0].n)
-            for k, part in enumerate(parts, start=1):
-                if part == blank:
-                    valid, detail = False, f"part {k} is the identity"
-                    break
+        result = verify_bc_decomposition(args.type, parts, allow_identity)
         rows = [
             _part_report_BC(k, part, args.type)
             for k, part in enumerate(parts, start=1)
         ]
-    _print_verify_report(args.format, args.type, valid, detail, rows)
-    return 0 if valid else 1
+    _print_verify_report(args.format, args.type, result.ok, result.detail, rows)
+    return 0 if result.ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +449,11 @@ def _cmd_series(args: argparse.Namespace, config: RunConfig) -> int:
     if args.which == "CATALAN":
         values = [catalan(k) for k in range(order + 1)]
     else:
-        values = list(SERIES_BY_NAME[args.which](order).coeffs)
+        try:
+            values = list(SERIES_BY_NAME[args.which](order).coeffs)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     if args.format == "json":
         print(
             json.dumps(
@@ -534,16 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        overrides = load_config_file(args.config) if args.config else {}
-        config = RunConfig(
-            command=args.command or "seed-check",
-            output_format=getattr(args, "format", "text"),
-            brute_force_bound=overrides.get(
-                "brute_force_bound", DEFAULT_ENUMERATION_BOUND
-            ),
-            series_order=overrides.get("series_order", DEFAULT_SERIES_ORDER),
-            threads=_threads_from_env(os.environ.get("ROOTDEC_THREADS")),
-        )
+        config = RunConfig(**load_config_file(args.config)) if args.config else RunConfig()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import AbstractSet, Hashable, Iterable, Iterator, TypeVar
 
 from .inflation import IDENTITY, REVERSAL, SIMPLE, simple_form
 from .permcore import (
@@ -57,6 +57,7 @@ __all__ = [
     "VerifyResult",
     "count_structural",
     "enumerate_decompositions",
+    "exact_covers",
     "is_irreducible",
     "is_irreducible_structural",
     "merge",
@@ -76,6 +77,8 @@ FAMILIES = (
 
 DEFAULT_ENUMERATION_BOUND = 8
 DEFAULT_COUNT_LIMIT = 64
+
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +297,58 @@ def is_irreducible_structural(sigma: Perm) -> bool:
 # exhaustive enumeration
 
 
+def exact_covers(
+    roots: Iterable[Hashable],
+    simple: Iterable[Hashable],
+    parts: Iterable[tuple[T, AbstractSet[Hashable]]],
+    r: int | None = None,
+    pad: bool = False,
+) -> Iterator[tuple[T, ...]]:
+    """Yield the item tuples of every cover of ``roots`` by disjoint parts.
+
+    ``parts`` holds (item, root set) pairs; parts with an empty root set
+    never take part in a cover.  ``r`` fixes the number of parts, and with
+    ``pad`` a cover may also have fewer than ``r`` parts (the caller pads
+    it).  Each cover is yielded exactly once, in search order.
+
+    The roots are laid out as bits, ``simple`` ones lowest, and each part
+    is filed under its lowest bit.  The search branches on the lowest
+    uncovered root: any part that covers it without overlap has it as its
+    lowest bit.  Every nonempty inversion set contains a simple root, so
+    once the simple roots are covered an uncovered root is a dead end.
+
+    >>> list(exact_covers([1, 2, 3], [1], [("a", {1, 2}), ("b", {3}), ("c", {1, 2, 3})]))
+    [('a', 'b'), ('c',)]
+    >>> list(exact_covers([], [], [], r=2, pad=True))
+    [()]
+    """
+    layout = list(dict.fromkeys([*simple, *roots]))
+    bit = {root: 1 << k for k, root in enumerate(layout)}
+    full = (1 << len(layout)) - 1
+    buckets: dict[int, list[tuple[int, T]]] = {}
+    for item, root_set in parts:
+        mask = sum(bit[root] for root in root_set)
+        if mask:
+            buckets.setdefault(mask & -mask, []).append((mask, item))
+
+    chosen: list[T] = []
+
+    def descend(covered: int) -> Iterator[tuple[T, ...]]:
+        if covered == full:
+            if r is None or len(chosen) == r or (pad and len(chosen) < r):
+                yield tuple(chosen)
+            return
+        if r is not None and len(chosen) >= r:
+            return
+        for mask, item in buckets.get(~covered & (covered + 1), ()):
+            if not mask & covered:
+                chosen.append(item)
+                yield from descend(covered | mask)
+                chosen.pop()
+
+    return descend(0)
+
+
 def enumerate_decompositions(
     n: int,
     r: int | None = None,
@@ -311,10 +366,8 @@ def enumerate_decompositions(
     Degrees above ``bound`` are refused up front, because enumeration scans
     all n! inversion sets.
 
-    Each decomposition is found exactly once: every nonempty part contains a
-    descent, hence a simple root, and distinct parts contain distinct ones;
-    the search always branches on the part owning the smallest uncovered
-    simple root.
+    The search is :func:`exact_covers` over all nonidentity permutations
+    that pass the filters, so each decomposition is found exactly once.
 
     >>> [str(d) for d in enumerate_decompositions(3, irreducible_only=True)]
     ['1 3 2 | 3 1 2', '2 1 3 | 2 3 1']
@@ -338,64 +391,25 @@ def enumerate_decompositions(
     if allow_identity and r is None:
         raise ValueError("padding with identity parts needs a fixed part count r")
 
-    roots = all_roots(n)
-    if not roots:
-        # degree 1: the empty positive system, decomposed by identity parts only
-        if r is None:
-            yield Decomposition(1, ())
-        elif r == 0 or allow_identity:
-            yield Decomposition(1, ((1,),) * r)
-        return
+    simple = simple_roots(n)
 
-    index = {root: k for k, root in enumerate(roots)}
-    full = (1 << len(roots)) - 1
-    simple_positions = [index[root] for root in simple_roots(n)]
-
-    by_anchor: list[list[tuple[int, Perm]]] = [[] for _ in range(n - 1)]
-    for perm in itertools.permutations(range(1, n + 1)):
-        mask = 0
-        for root in inversion_set(perm):
-            mask |= 1 << index[root]
-        if mask == 0:
-            continue
-        if irreducible_only and not is_irreducible_structural(perm):
-            continue
-        anchored = [k for k, p in enumerate(simple_positions) if (mask >> p) & 1]
-        if maximal and len(anchored) != 1:
-            continue
-        by_anchor[anchored[0]].append((mask, perm))
-
-    results: list[Decomposition] = []
-    chosen: list[Perm] = []
-
-    def descend(covered: int) -> None:
-        anchor = next(
-            (k for k, p in enumerate(simple_positions) if not (covered >> p) & 1),
-            None,
-        )
-        if anchor is None:
-            if covered != full:
-                return
-            parts = list(chosen)
-            if r is not None:
-                if len(parts) > r:
-                    return
-                if len(parts) < r:
-                    if not allow_identity:
-                        return
-                    parts.extend([identity(n)] * (r - len(parts)))
-            results.append(Decomposition(n, tuple(parts)))
-            return
-        if r is not None and len(chosen) >= r:
-            return
-        for mask, perm in by_anchor[anchor]:
-            if mask & covered:
+    def parts() -> Iterator[tuple[Perm, frozenset[Root]]]:
+        # a generator, so the search keeps only each part's bitmask
+        for perm in itertools.permutations(range(1, n + 1)):
+            inv = inversion_set(perm).roots
+            if not inv:
                 continue
-            chosen.append(perm)
-            descend(covered | mask)
-            chosen.pop()
+            if irreducible_only and not is_irreducible_structural(perm):
+                continue
+            if maximal and len(inv.intersection(simple)) != 1:
+                continue
+            yield perm, inv
 
-    descend(0)
+    results = []
+    for cover in exact_covers(all_roots(n), simple, parts(), r, pad=allow_identity):
+        if r is not None:
+            cover += (identity(n),) * (r - len(cover))
+        results.append(Decomposition(n, cover))
     results.sort(key=lambda d: d.parts)
     yield from results
 

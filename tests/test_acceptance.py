@@ -47,8 +47,8 @@ def test_frozen_tables_have_the_documented_corners():
 
 
 def test_brute_bc_counter_spot_check():
-    # this module keeps its own copy of the brute counter; pin it to the
-    # structural values at rank 2 for both families
+    # pin the acceptance brute counter to the structural values at rank 2
+    # for both families
     assert acceptance._brute_bc_counts("B", 2) == (3, 3, 4)
     assert acceptance._brute_bc_counts("C", 2) == (3, 3, 4)
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootdec.acceptance import _brute_bc_counts
 from rootdec.bcgroups import (
     DIFF,
     SHORT,
@@ -26,7 +27,6 @@ from rootdec.bcgroups import (
     bc_is_simple,
     bc_longest,
     bc_positive_roots,
-    count_bc,
     embed_B,
     embed_C,
     fiber,
@@ -325,6 +325,21 @@ def test_verify_bc_frozen_examples():
     )
 
 
+def test_verify_bc_diagnostics():
+    minus = SignedPermutation((-1, -2))
+    assert verify_bc_decomposition(TYPE_C, [minus, minus]).detail == (
+        "root e1-e2 covered by parts 1 and 2"
+    )
+    assert verify_bc_decomposition(TYPE_B, [SignedPermutation((1, -2))]).detail == (
+        "root e1-e2 not covered by any part"
+    )
+    result = verify_bc_decomposition(TYPE_C, [minus, bc_identity(2)], allow_identity=False)
+    assert (result.ok, result.detail) == (False, "part 2 is the identity")
+    result = verify_bc_decomposition(TYPE_C, [minus, bc_identity(2)])
+    assert result.ok
+    assert result.detail == "valid decomposition of the rank-2 type-C positive system"
+
+
 def test_verify_bc_validation():
     with pytest.raises(ValueError, match="rank mismatch"):
         verify_bc_decomposition(TYPE_B, [bc_identity(1), bc_identity(2)])
@@ -349,7 +364,7 @@ def test_verify_bc_equals_embedded_verification(family):
     elements = list(all_signed_permutations(n))
     degree = ambient_degree(family, n)
     for a, b in itertools.product(elements, repeat=2):
-        direct = verify_bc_decomposition(family, [a, b])
+        direct = verify_bc_decomposition(family, [a, b]).ok
         embedded = verify_decomposition(
             degree, [EMBED[family](a), EMBED[family](b)]
         ).ok
@@ -456,96 +471,24 @@ def test_symmetric_inflate_with_longest_skeleton_is_consistent(family, raw_parts
 # brute counting oracle vs the structural tables
 
 
-def _brute_family_counts(family: str, n: int) -> tuple[int, int, int]:
-    """Exhaustive (irreducible, maximal, triples) counts in the B/C world."""
-    roots = bc_positive_roots(family, n)
-    index = {gamma: k for k, gamma in enumerate(roots)}
-    full = (1 << len(roots)) - 1
-    masks: dict[int, SignedPermutation] = {}
-    for sigma in all_signed_permutations(n):
-        mask = 0
-        for gamma in bc_inversion_set(sigma, family):
-            mask |= 1 << index[gamma]
-        masks.setdefault(mask, sigma)
-    nonzero = sorted(m for m in masks if m)
-    mask_set = set(nonzero)
-
-    def splittable(m: int) -> bool:
-        sub = (m - 1) & m
-        while sub:
-            if sub in mask_set and (m ^ sub) in mask_set:
-                return True
-            sub = (sub - 1) & m
-        return False
-
-    irreducible_masks = {m for m in nonzero if not splittable(m)}
-
-    if family == TYPE_B:
-        simple_roots_bc = [BCRoot(n, family, DIFF, i, i + 1) for i in range(1, n)]
-        simple_roots_bc.append(BCRoot(n, family, SHORT, n))
-    else:
-        simple_roots_bc = [BCRoot(n, family, DIFF, i, i + 1) for i in range(1, n)]
-        simple_roots_bc.append(BCRoot(n, family, SUM, n, n))
-    simple_bits = 0
-    for gamma in simple_roots_bc:
-        simple_bits |= 1 << index[gamma]
-
-    def count(parts_pool: list[int], exact_r: int | None, allow_id: bool) -> int:
-        found = 0
-
-        def descend(covered: int, used: int) -> None:
-            nonlocal found
-            if covered == full:
-                if exact_r is None or used == exact_r or (allow_id and used < exact_r):
-                    found += 1
-                return
-            if exact_r is not None and used >= exact_r:
-                return
-            lowest = (~covered & full) & -(~covered & full)
-            for m in parts_pool:
-                if m & lowest and not (m & covered):
-                    descend(covered | m, used + 1)
-
-        descend(0, 0)
-        return found
-
-    irreducible = count(sorted(irreducible_masks), None, False)
-    one_simple = [m for m in nonzero if bin(m & simple_bits).count("1") == 1]
-    maximal = count(one_simple, n, False)
-    triples = count(nonzero, 3, True)
-    return irreducible, maximal, triples
-
-
 @pytest.mark.parametrize("family", (TYPE_B, TYPE_C))
 @pytest.mark.parametrize("n", range(1, 4))
 def test_brute_counts_match_structural_tables(family, n):
-    irreducible, maximal, triples = _brute_family_counts(family, n)
-    assert irreducible == count_bc("BC_IRREDUCIBLE", n)[n]
-    assert maximal == count_bc("BC_MAXIMAL", n)[n]
-    assert triples == count_bc("BC_TRIPLES", n)[n]
+    irreducible, maximal, triples = _brute_bc_counts(family, n)
+    assert irreducible == count_structural("BC_IRREDUCIBLE", n)[n]
+    assert maximal == count_structural("BC_MAXIMAL", n)[n]
+    assert triples == count_structural("BC_TRIPLES", n)[n]
 
 
 # ---------------------------------------------------------------------------
 # counting tables
 
 
-def test_count_bc_frozen_examples():
-    assert count_bc("BC_IRREDUCIBLE", 4)[4] == 100
-    assert count_bc("BC_TRIPLES", 3)[3] == 33
-    assert count_bc("BC_MAXIMAL", 2)[2] == 3
-    assert count_bc("SIMPLE_PAIRS_BC", 5).counts == (0, 2, 10, 90, 966)
-
-
-def test_count_bc_rejects_type_a_families():
-    with pytest.raises(ValueError, match="B/C families"):
-        count_bc("A_TRIPLES", 5)
-    with pytest.raises(ValueError, match="B/C families"):
-        count_bc("A_IRREDUCIBLE", 5)
-
-
-def test_count_bc_matches_count_structural():
-    for family in ("BC_IRREDUCIBLE", "BC_MAXIMAL", "BC_TRIPLES"):
-        assert count_bc(family, 12).counts == count_structural(family, 12).counts
+def test_count_structural_bc_frozen_examples():
+    assert count_structural("BC_IRREDUCIBLE", 4)[4] == 100
+    assert count_structural("BC_TRIPLES", 3)[3] == 33
+    assert count_structural("BC_MAXIMAL", 2)[2] == 3
+    assert count_structural("SIMPLE_PAIRS_BC", 5).counts == (0, 2, 10, 90, 966)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -10,8 +11,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rootdec.cli import RunConfig, load_config_file, main
+from rootdec.cli import SERIES_BY_NAME, RunConfig, load_config_file, main
+from rootdec.decompose import FAMILIES
 
 GOLDEN = Path(__file__).parent / "golden" / "rays_reference.csv"
 
@@ -29,18 +33,13 @@ def run(capsys, *argv) -> tuple[int, str, str]:
 
 
 def test_run_config_defaults_and_validation():
-    config = RunConfig(command="count")
+    config = RunConfig()
     assert config.brute_force_bound == 8
     assert config.series_order == 40
-    assert config.threads == 1
-    with pytest.raises(ValueError, match="output format"):
-        RunConfig(command="count", output_format="xml")
     with pytest.raises(ValueError, match="positive"):
-        RunConfig(command="count", brute_force_bound=0)
+        RunConfig(brute_force_bound=0)
     with pytest.raises(ValueError, match="positive"):
-        RunConfig(command="count", threads=0)
-    with pytest.raises(ValueError, match="nonempty"):
-        RunConfig(command="")
+        RunConfig(series_order=0)
 
 
 def test_load_config_file(tmp_path):
@@ -83,21 +82,6 @@ def test_config_file_sets_default_series_order(capsys, tmp_path):
     code, out, _ = run(capsys, "--config", str(path), "series", "--which", "B")
     assert code == 0
     assert out.splitlines()[-1] == "B n=12: 552096640341"
-
-
-def test_threads_env_is_validated(capsys, monkeypatch):
-    monkeypatch.setenv("ROOTDEC_THREADS", "chaos")
-    code, _, err = run(capsys, "count", "--family", "A_MAXIMAL", "--max-n", "3")
-    assert code == 2
-    assert "ROOTDEC_THREADS" in err
-    monkeypatch.setenv("ROOTDEC_THREADS", "4")
-    code, out, _ = run(capsys, "count", "--family", "A_MAXIMAL", "--max-n", "3")
-    assert code == 0
-    assert out.splitlines() == [
-        "A_MAXIMAL n=1: 1",
-        "A_MAXIMAL n=2: 1",
-        "A_MAXIMAL n=3: 2",
-    ]
 
 
 def test_no_command_is_a_usage_error(capsys):
@@ -379,6 +363,91 @@ def test_series_json_and_errors(capsys):
     assert payload["coefficients"][-1] == [9, 55995486]
     code, _, err = run(capsys, "series", "--which", "A", "--order", "-1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "which, order",
+    [(which, order) for which in ("F", "G", "SA", "SB", "B") for order in (0, 1)]
+    + [("A", 0), ("CATB", 0)],
+)
+def test_series_below_minimum_order_is_a_domain_error(capsys, which, order):
+    code, out, err = run(capsys, "series", "--which", which, "--order", str(order))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: order must be at least")
+    assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under random argument vectors
+
+
+PERM_POOL = st.sampled_from(
+    (
+        "", ";", "1;1;1", "1 1", "0", "x", "1,2", "2 1", "1 3 2; 3 1 2",
+        "2 1; 1 2; 1 2", "2 1 3; 2 1 3; 1 2 3", "-1", "-1; -1", "1 -2",
+        "-1 -2; 1 2", "-2 1; 2 -1", "-3 2 1; 3 -2 -1", TRIPLE,
+    )
+)
+FUZZ_VALUES = {
+    "--type": st.sampled_from(("A", "B", "C", "D")),
+    "--perms": PERM_POOL,
+    "--perm": PERM_POOL,
+    "--family": st.sampled_from((*FAMILIES, "NO_SUCH")),
+    "--which": st.sampled_from((*SERIES_BY_NAME, "CATALAN", "Z")),
+    "--format": st.sampled_from(("text", "csv", "json", "xml")),
+    **{
+        flag: st.integers(min_value=-2, max_value=12).map(str)
+        for flag in ("--max-n", "--n", "--parts", "--order")
+    },
+}
+COMMAND_FLAGS = {
+    "verify": ("--type", "--perms", "--strict-no-identity", "--format"),
+    "count": ("--family", "--max-n", "--format"),
+    "enumerate": ("--n", "--parts", "--maximal", "--irreducible", "--allow-identity", "--format"),
+    "rays": ("--perms", "--format"),
+    "simple-form": ("--perm", "--format"),
+    "series": ("--which", "--order", "--format"),
+    "bogus": (),
+}
+ALL_FLAGS = sorted({flag for flags in COMMAND_FLAGS.values() for flag in flags})
+
+
+@st.composite
+def argument_vectors(draw):
+    command = draw(st.sampled_from(tuple(COMMAND_FLAGS)))
+    # each of the command's own flags or not, and now and then any other flag
+    names = [name for name in COMMAND_FLAGS[command] if draw(st.booleans())]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        names.append(draw(st.sampled_from(ALL_FLAGS)))
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        argv.append(name)
+        if name in FUZZ_VALUES:
+            argv.append(draw(FUZZ_VALUES[name]))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def small_bound_config(tmp_path_factory):
+    # degree 7 and 8 enumerations take seconds; the fuzz reaches n >= 7
+    # only through the bound check
+    path = tmp_path_factory.mktemp("fuzz") / "rootdec.conf"
+    path.write_text("brute_force_bound = 6\n")
+    return str(path)
+
+
+@given(argv=argument_vectors())
+@settings(max_examples=300, deadline=None)
+def test_random_argv_keeps_the_exit_code_contract(small_bound_config, argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(["--config", small_bound_config, *argv])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------
