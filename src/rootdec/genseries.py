@@ -172,12 +172,40 @@ def compose(f: IntSeries, g: IntSeries) -> IntSeries:
     return acc
 
 
+def _solve_by_powers(
+    outer: tuple[int, ...], n_max: int, first: int, sign: int
+) -> tuple[int, ...]:
+    """Coefficients 0..n_max of g = first * x + sign * sum_{m>=2} outer[m] g^m.
+
+    Keeps the table ``powers[m][j] = [x^j] g^m`` and fills it one column j
+    at a time.  For m >= 2, ``[x^n] g^m = sum_k g_k [x^(n-k)] g^(m-1)``
+    only reads g_1..g_(n-1), so column n is known before g_n is, and g_n
+    is then forced.  Each column costs O(n^2) products, O(n_max^3) in all.
+    """
+    g = [0] * (n_max + 1)
+    g[1] = first
+    powers = [[], g] + [[0] * (n_max + 1) for _ in range(2, n_max + 1)]  # g^0 unused
+    for n in range(2, n_max + 1):
+        total = 0
+        for m in range(2, n + 1):
+            # g^(m-1) vanishes below x^(m-1), so k stops at n - m + 1
+            lower = powers[m - 1]
+            c = sum(g[k] * lower[n - k] for k in range(1, n - m + 2))
+            powers[m][n] = c
+            total += outer[m] * c
+        g[n] = sign * total
+    return tuple(g)
+
+
 def functional_inverse(f: IntSeries) -> IntSeries:
     """The series g with f(g(x)) = x, for f(0) = 0 and f'(0) = +/-1.
 
-    Solved coefficient by coefficient: with g known below index n, the n-th
-    coefficient of f(g) is f'(0) * g_n plus already-known terms, so each g_n
-    is forced (and integral because f'(0) is a unit).
+    Solved coefficient by coefficient on a growing table of the powers g^m:
+    with g known below index n, the n-th coefficient of f(g) is
+    f'(0) * g_n + sum over m >= 2 of f_m [x^n] g^m, and the powers' n-th
+    coefficients use only g_1..g_(n-1).  So g_n = -f'(0) * (that sum) is
+    forced, and integral because f'(0) is a unit.  The result is checked
+    by substituting it back into f.
 
     >>> functional_inverse(IntSeries.from_coeffs(4, [0, 1, 1])).coeffs
     (0, 1, -1, 2, -5)
@@ -187,14 +215,8 @@ def functional_inverse(f: IntSeries) -> IntSeries:
     if f.order < 1 or f.coeffs[1] not in (1, -1):
         raise ValueError("functional inverse needs f'(0) = 1 or -1")
     unit = f.coeffs[1]
-    n_max = f.order
-    g = [0] * (n_max + 1)
-    g[1] = unit
-    for n in range(2, n_max + 1):
-        h = compose(truncate(f, n), IntSeries(n, tuple(g[: n + 1])))
-        g[n] = -unit * h.coeffs[n]
-    result = IntSeries(n_max, tuple(g))
-    assert compose(f, result).coeffs == IntSeries.from_coeffs(n_max, [0, 1]).coeffs
+    result = IntSeries(f.order, _solve_by_powers(f.coeffs, f.order, unit, -unit))
+    assert compose(f, result).coeffs == IntSeries.from_coeffs(f.order, [0, 1]).coeffs
     return result
 
 
@@ -263,8 +285,10 @@ def series_A(n_max: int) -> IntSeries:
     a disjoint union of irreducible nonempty inversion sets (unordered, any
     number of parts; degree 1 carries the single empty decomposition).  The
     series is the unique solution of A = x + S(A) with A(0) = 0, where S is
-    :func:`simple_pairs_A`; since S has no terms below index 2, each
-    coefficient is forced by the earlier ones.
+    :func:`simple_pairs_A`.  It is solved on a growing table of the powers
+    A^m: since S has no terms below index 2, the n-th coefficient of S(A)
+    needs only a_1..a_(n-1), so a_n = sum over m >= 2 of s_m [x^n] A^m is
+    forced by the earlier coefficients.
 
     >>> series_A(6).coeffs
     (0, 1, 1, 2, 6, 23, 114)
@@ -272,12 +296,7 @@ def series_A(n_max: int) -> IntSeries:
     if n_max < 1:
         raise ValueError(f"order must be at least 1, got {n_max}")
     s = simple_pairs_A(max(n_max, 2))
-    a = [0] * (n_max + 1)
-    a[1] = 1
-    for n in range(2, n_max + 1):
-        h = compose(truncate(s, n), IntSeries(n, tuple(a[: n + 1])))
-        a[n] = h.coeffs[n]
-    return IntSeries(n_max, tuple(a))
+    return IntSeries(n_max, _solve_by_powers(s.coeffs, n_max, 1, 1))
 
 
 def series_SB(n_max: int) -> IntSeries:

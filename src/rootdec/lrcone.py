@@ -151,7 +151,12 @@ class RayMatrix:
         )
 
     def to_csv(self) -> str:
-        """Header ``a1,..,c{n-1}`` then one comma-separated ray per line."""
+        """Header ``a1,..,c{n-1}`` then one comma-separated ray per line.
+
+        Degree 1 has no coordinates and no rays, so its text is empty.
+        """
+        if self.n == 1:
+            return ""
         lines = [",".join(str(var) for var in self.column_order())]
         lines.extend(",".join(str(entry) for entry in row) for row in self.rows)
         return "\n".join(lines) + "\n"

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootdec.cli import SERIES_BY_NAME, RunConfig, load_config_file, main
+from rootdec.cli import (
+    MAX_SERIES_ORDER,
+    SERIES_BY_NAME,
+    RunConfig,
+    load_config_file,
+    main,
+)
 from rootdec.decompose import FAMILIES
 
 GOLDEN = Path(__file__).parent / "golden" / "rays_reference.csv"
@@ -292,6 +298,20 @@ def test_rays_small_triple(capsys):
     assert out.splitlines() == ["a1,b1,c1", "1,1,0", "1,0,1"]
 
 
+def test_rays_degree_one_has_no_coordinates(capsys):
+    code, out, err = run(capsys, "rays", "--perms", "1;1;1")
+    assert (code, out, err) == (0, "", "")
+    code, out, err = run(capsys, "rays", "--perms", "1;1;1", "--format", "csv")
+    assert (code, out, err) == (0, "", "")
+    code, out, _ = run(capsys, "rays", "--perms", "1;1;1", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 1, "free_order": [], "rays": [], "equations": []}
+    # rays has no text format
+    with pytest.raises(SystemExit) as exc:
+        main(["rays", "--perms", "1;1;1", "--format", "text"])
+    assert exc.value.code == 2
+
+
 def test_rays_error_paths(capsys):
     code, _, err = run(capsys, "rays", "--perms", "2 1; 1 2")
     assert code == 2
@@ -363,6 +383,19 @@ def test_series_json_and_errors(capsys):
     assert payload["coefficients"][-1] == [9, 55995486]
     code, _, err = run(capsys, "series", "--which", "A", "--order", "-1")
     assert code == 2
+
+
+@pytest.mark.parametrize("which", [*SERIES_BY_NAME, "CATALAN"])
+def test_series_order_above_the_bound_is_a_usage_error(capsys, tmp_path, which):
+    too_high = str(MAX_SERIES_ORDER + 1)
+    code, out, err = run(capsys, "series", "--which", which, "--order", too_high)
+    assert (code, out) == (2, "")
+    assert err == f"error: --order must be at most {MAX_SERIES_ORDER}\n"
+    path = tmp_path / "rootdec.conf"
+    path.write_text(f"series_order = {too_high}\n")
+    code, out, err = run(capsys, "--config", str(path), "series", "--which", which)
+    assert (code, out) == (2, "")
+    assert err == f"error: --order must be at most {MAX_SERIES_ORDER}\n"
 
 
 @pytest.mark.parametrize(

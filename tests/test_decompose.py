@@ -407,7 +407,7 @@ def test_counts_match_enumeration_triples(n):
 
 
 def test_counts_agree_with_series_route():
-    order = 40
+    order = 64
     assert count_structural("A_IRREDUCIBLE", order).counts == tuple(
         series_A(order).coeffs[1:]
     )

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootdec import genseries
 from rootdec.genseries import (
     IntSeries,
     add,
@@ -112,6 +113,33 @@ def test_functional_inverse_round_trip_and_errors():
         functional_inverse(IntSeries.from_coeffs(3, [0, 2]))
 
 
+def test_functional_inverse_with_unit_minus_one():
+    f = IntSeries.from_coeffs(30, [0, -1, 1, 3])  # -x + x^2 + 3x^3
+    g = functional_inverse(f)
+    assert compose(f, g).coeffs == IntSeries.from_coeffs(30, [0, 1]).coeffs
+    assert g.coeffs[:8] == (0, -1, 1, -5, 20, -104, 546, -3066)
+    assert g[30] == 12422158628307385900888
+
+
+@pytest.mark.parametrize("order", [10, 40, 90])
+def test_solvers_compose_only_for_the_final_check(monkeypatch, order):
+    # series_A reaches compose only through series_G's identity check; a
+    # per-coefficient compose would call it about `order` times.
+    calls = []
+    real_compose = genseries.compose
+
+    def counting_compose(f, g):
+        calls.append(g.order)
+        return real_compose(f, g)
+
+    monkeypatch.setattr(genseries, "compose", counting_compose)
+    series_G(order)
+    assert calls == [order]
+    calls.clear()
+    series_A(order)
+    assert calls == [order]
+
+
 def test_sqrt_squares_back():
     f = IntSeries.from_coeffs(10, [1, -4])
     y = sqrt(f)
@@ -170,7 +198,7 @@ def test_series_A_frozen():
 
 
 def test_series_A_solves_its_equation():
-    order = 25
+    order = 64
     a = series_A(order)
     s = simple_pairs_A(order)
     lhs = sub(a, compose(s, a))
