@@ -307,17 +307,31 @@ def exact_covers(
     """Yield the item tuples of every cover of ``roots`` by disjoint parts.
 
     ``parts`` holds (item, root set) pairs; parts with an empty root set
-    never take part in a cover.  ``r`` fixes the number of parts, and with
-    ``pad`` a cover may also have fewer than ``r`` parts (the caller pads
-    it).  Each cover is yielded exactly once, in search order.
+    never take part in a cover, and parts with equal root sets are distinct
+    items.  ``r`` fixes the number of parts, and with ``pad`` a cover may
+    also have fewer than ``r`` parts (the caller pads it).  Each cover is
+    yielded exactly once, in search order, its items in the order chosen.
 
     The roots are laid out as bits, ``simple`` ones lowest, and each part
-    is filed under its lowest bit.  The search branches on the lowest
-    uncovered root: any part that covers it without overlap has it as its
-    lowest bit.  Every nonempty inversion set contains a simple root, so
-    once the simple roots are covered an uncovered root is a dead end.
+    is filed under its lowest bit and under its whole mask.  The search
+    branches on the lowest uncovered root: any part that covers it without
+    overlap has it as its lowest bit.  Every nonempty inversion set
+    contains a simple root, so once the simple roots are covered an
+    uncovered root is a dead end.
 
-    >>> list(exact_covers([1, 2, 3], [1], [("a", {1, 2}), ("b", {3}), ("c", {1, 2, 3})]))
+    With ``r`` fixed, the tail of the search is forced.  With one part
+    left, it must be exactly the uncovered rest, so the parts with that
+    mask are looked up instead of searched.  With two parts left, one scan
+    of the lowest uncovered root's bucket picks the first, and the second
+    is looked up as the rest of the rest (with ``pad``, a first part that
+    covers the whole rest ends a shorter cover).
+
+    >>> parts = [("a", {1, 2}), ("b", {3}), ("c", {1, 2, 3})]
+    >>> list(exact_covers([1, 2, 3], [1], parts))
+    [('a', 'b'), ('c',)]
+    >>> list(exact_covers([1, 2, 3], [1], parts, r=2))
+    [('a', 'b')]
+    >>> list(exact_covers([1, 2, 3], [1], parts, r=2, pad=True))
     [('a', 'b'), ('c',)]
     >>> list(exact_covers([], [], [], r=2, pad=True))
     [()]
@@ -326,10 +340,12 @@ def exact_covers(
     bit = {root: 1 << k for k, root in enumerate(layout)}
     full = (1 << len(layout)) - 1
     buckets: dict[int, list[tuple[int, T]]] = {}
+    by_mask: dict[int, list[T]] = {}
     for item, root_set in parts:
         mask = sum(bit[root] for root in root_set)
         if mask:
             buckets.setdefault(mask & -mask, []).append((mask, item))
+            by_mask.setdefault(mask, []).append(item)
 
     chosen: list[T] = []
 
@@ -338,8 +354,22 @@ def exact_covers(
             if r is None or len(chosen) == r or (pad and len(chosen) < r):
                 yield tuple(chosen)
             return
-        if r is not None and len(chosen) >= r:
-            return
+        if r is not None:
+            left = r - len(chosen)
+            rest = full ^ covered
+            if left == 1:
+                for last in by_mask.get(rest, ()):
+                    yield (*chosen, last)
+            elif left == 2:
+                for mask, item in buckets.get(rest & -rest, ()):
+                    if mask == rest:
+                        if pad:
+                            yield (*chosen, item)
+                    elif not mask & covered:
+                        for last in by_mask.get(rest ^ mask, ()):
+                            yield (*chosen, item, last)
+            if left <= 2:
+                return
         for mask, item in buckets.get(~covered & (covered + 1), ()):
             if not mask & covered:
                 chosen.append(item)

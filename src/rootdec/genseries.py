@@ -268,7 +268,12 @@ def simple_pairs_A(n_max: int) -> IntSeries:
     >>> simple_pairs_A(6).coeffs
     (0, 0, 1, 0, 1, 3, 23)
     """
-    g = series_G(n_max)
+    return _simple_pairs(series_G(n_max))
+
+
+def _simple_pairs(g: IntSeries) -> IntSeries:
+    """:func:`simple_pairs_A` read off the inverse-factorial series ``g``."""
+    n_max = g.order
     s = [0] * (n_max + 1)
     if n_max >= 2:
         s[2] = 1
@@ -295,8 +300,12 @@ def series_A(n_max: int) -> IntSeries:
     """
     if n_max < 1:
         raise ValueError(f"order must be at least 1, got {n_max}")
-    s = simple_pairs_A(max(n_max, 2))
-    return IntSeries(n_max, _solve_by_powers(s.coeffs, n_max, 1, 1))
+    return _series_A(series_G(max(n_max, 2)), n_max)
+
+
+def _series_A(g: IntSeries, n_max: int) -> IntSeries:
+    """:func:`series_A` to ``n_max`` from the inverse-factorial series ``g``."""
+    return IntSeries(n_max, _solve_by_powers(_simple_pairs(g).coeffs, n_max, 1, 1))
 
 
 def series_SB(n_max: int) -> IntSeries:
@@ -315,8 +324,13 @@ def series_SB(n_max: int) -> IntSeries:
     """
     if n_max < 2:
         raise ValueError(f"order must be at least 2, got {n_max}")
+    return _series_SB(series_G(n_max))
+
+
+def _series_SB(g: IntSeries) -> IntSeries:
+    """:func:`series_SB` from the inverse-factorial series ``g``."""
+    n_max = g.order
     f = series_F(n_max)
-    g = series_G(n_max)
     f_doubled = IntSeries(
         n_max, tuple(c * (1 << n) for n, c in enumerate(f.coeffs))
     )
@@ -340,8 +354,9 @@ def series_B(n_max: int) -> IntSeries:
     """
     if n_max < 2:
         raise ValueError(f"order must be at least 2, got {n_max}")
-    a = series_A(n_max)
-    sb = series_SB(n_max)
+    g = series_G(n_max)
+    a = _series_A(g, n_max)
+    sb = _series_SB(g)
     x = add(a, divide_exact(compose(sb, a), 2))
     one = IntSeries.from_coeffs(n_max, [1])
     return mul(x, reciprocal(sub(one, x)))

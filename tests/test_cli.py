@@ -242,6 +242,23 @@ def test_enumerate_documented_streams(capsys):
     assert out.splitlines() == ["1 2 | 1 2 | 2 1", "count: 1"]
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("--n", "1", "--parts", "0"), "\ncount: 1\n"),
+        (("--n", "2", "--parts", "0"), "count: 0\n"),
+        (("--n", "3", "--parts", "1"), "3 2 1\ncount: 1\n"),
+        (
+            ("--n", "3", "--irreducible", "--parts", "2", "--allow-identity"),
+            "1 3 2 | 3 1 2\n2 1 3 | 2 3 1\ncount: 2\n",
+        ),
+    ],
+)
+def test_enumerate_small_part_counts_byte_for_byte(capsys, argv, expected):
+    # zero, one and two parts: the searches that start inside the forced tail
+    assert run(capsys, "enumerate", *argv) == (0, expected, "")
+
+
 def test_enumerate_bound_and_usage_errors(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "9")
     assert code == 1

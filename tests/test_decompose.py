@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from rootdec.decompose import (
     Decomposition,
     count_structural,
     enumerate_decompositions,
+    exact_covers,
     is_irreducible,
     is_irreducible_structural,
     merge,
@@ -27,7 +29,14 @@ from rootdec.genseries import (
     series_SB,
     simple_pairs_A,
 )
-from rootdec.permcore import compose, identity, inversion_set, longest
+from rootdec.permcore import (
+    all_roots,
+    compose,
+    identity,
+    inversion_set,
+    longest,
+    simple_roots,
+)
 
 W1 = (5, 3, 4, 8, 1, 2, 6, 7)
 W2 = (4, 5, 6, 1, 7, 8, 3, 2)
@@ -306,6 +315,49 @@ def test_enumerated_decompositions_verify_and_merge_to_longest(n):
         assert verify_decomposition(n, d.parts, allow_identity=False)
         assert merge(n, d.parts) == longest(n)
         assert len(d) <= n - 1
+
+
+def _random_family(seed):
+    # abstract roots, several exact partitions cut up so that covers exist,
+    # plus random subsets, the whole root set, empty parts and repeated
+    # root sets
+    rng = random.Random(seed)
+    roots = [f"e{k}" for k in range(rng.randint(6, 10))]
+    root_sets = []
+    for _ in range(3):
+        shuffled = rng.sample(roots, len(roots))
+        cuts = sorted(rng.sample(range(1, len(roots)), rng.randint(1, 4)))
+        root_sets += [shuffled[a:b] for a, b in zip([0, *cuts], [*cuts, len(roots)])]
+    root_sets += [rng.sample(roots, rng.randint(1, 4)) for _ in range(6)] + [roots]
+    root_sets += [[], []] + rng.sample(root_sets, 4)
+    rng.shuffle(root_sets)
+    parts = [(f"p{k}", frozenset(s)) for k, s in enumerate(root_sets)]
+    return roots, rng.sample(roots, 3), parts
+
+
+def _type_a_family(n):
+    parts = [(p, inversion_set(p).roots) for p in perms(n)]
+    return all_roots(n), simple_roots(n), parts
+
+
+@pytest.mark.parametrize(
+    "family",
+    [_random_family(seed) for seed in range(12)] + [_type_a_family(n) for n in range(1, 6)],
+    ids=[f"random{seed}" for seed in range(12)] + [f"A{n}" for n in range(1, 6)],
+)
+def test_fixed_part_count_covers_equal_the_filtered_free_search(family):
+    # the forced last one or two parts of a fixed-r search must find exactly
+    # the covers of the free search with that many parts, in the same order
+    roots, simple, parts = family
+    free = list(exact_covers(roots, simple, parts))
+    assert len(set(free)) == len(free)
+    for r in range(6):
+        assert list(exact_covers(roots, simple, parts, r)) == [
+            c for c in free if len(c) == r
+        ]
+        assert list(exact_covers(roots, simple, parts, r, pad=True)) == [
+            c for c in free if len(c) <= r
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -121,10 +121,9 @@ def test_functional_inverse_with_unit_minus_one():
     assert g[30] == 12422158628307385900888
 
 
-@pytest.mark.parametrize("order", [10, 40, 90])
-def test_solvers_compose_only_for_the_final_check(monkeypatch, order):
-    # series_A reaches compose only through series_G's identity check; a
-    # per-coefficient compose would call it about `order` times.
+@pytest.fixture
+def compose_calls(monkeypatch):
+    """The order of every genseries.compose call made during the test."""
     calls = []
     real_compose = genseries.compose
 
@@ -133,11 +132,26 @@ def test_solvers_compose_only_for_the_final_check(monkeypatch, order):
         return real_compose(f, g)
 
     monkeypatch.setattr(genseries, "compose", counting_compose)
+    return calls
+
+
+@pytest.mark.parametrize("order", [10, 40, 90])
+def test_solvers_compose_only_for_the_final_check(compose_calls, order):
+    # series_A reaches compose only through series_G's identity check; a
+    # per-coefficient compose would call it about `order` times.
     series_G(order)
-    assert calls == [order]
-    calls.clear()
+    assert compose_calls == [order]
+    compose_calls.clear()
     series_A(order)
-    assert calls == [order]
+    assert compose_calls == [order]
+
+
+@pytest.mark.parametrize("order", [10, 40])
+def test_series_B_computes_G_once(compose_calls, order):
+    # one identity check inside the shared series_G, then the substitution
+    # of G into the SB right-hand side and of A into SB
+    series_B(order)
+    assert compose_calls == [order] * 3
 
 
 def test_sqrt_squares_back():
