@@ -171,14 +171,37 @@ class CountTable:
 # verification and merging
 
 
+def _inversion_rows(sigma: Perm) -> list[int]:
+    """Bit ``j`` of ``rows[i]`` is set when ``sigma`` inverts positions ``i < j``.
+
+    Positions are 0-based here.  One sweep over the positions in increasing
+    value order: the positions already passed hold the smaller values.
+    """
+    position = [0] * len(sigma)
+    for i, value in enumerate(sigma):
+        position[value - 1] = i
+    rows = [0] * len(sigma)
+    smaller = 0
+    for i in position:
+        rows[i] = smaller >> (i + 1) << (i + 1)
+        smaller |= 1 << i
+    return rows
+
+
 def verify_decomposition(
     n: int, perms: Iterable[Perm], allow_identity: bool = True
 ) -> VerifyResult:
     """Check that the inversion sets of ``perms`` partition the positive system.
 
-    Diagnostics name the lexicographically first overlapping or missing
-    root; with ``allow_identity`` false an identity part is also rejected.
-    A part of the wrong degree raises ValueError.
+    Diagnostics name the lexicographically first overlapping root (and the
+    first two parts covering it), else the first missing root; with
+    ``allow_identity`` false an identity part is also rejected.  A part of
+    the wrong degree raises ValueError.
+
+    Each part is read as row bitmasks: bit ``j`` of row ``i`` is set when
+    the part inverts ``(i+1, j+1)``.  One pass over the rows in position
+    order, OR-ing the parts' rows together, finds both diagnostics without
+    building any set of roots.
 
     >>> verify_decomposition(3, [(2, 1, 3), (2, 3, 1)]).ok
     True
@@ -194,18 +217,23 @@ def verify_decomposition(
                 f"degree mismatch: expected {n}, got part"
                 f" {format_permutation(part)} of degree {len(part)}"
             )
-    covering: dict[Root, list[int]] = {}
-    for k, part in enumerate(parts, start=1):
-        for root in inversion_set(part):
-            covering.setdefault(root, []).append(k)
-    overlapped = sorted(root for root, ks in covering.items() if len(ks) > 1)
-    if overlapped:
-        root = overlapped[0]
-        a, b = covering[root][:2]
-        return VerifyResult(False, f"root {root} covered by parts {a} and {b}")
-    for root in all_roots(n):
-        if root not in covering:
-            return VerifyResult(False, f"root {root} not covered by any part")
+    part_rows = [_inversion_rows(part) for part in parts]
+    missing = None
+    for i in range(n):
+        seen = clash = 0
+        for rows in part_rows:
+            clash |= seen & rows[i]
+            seen |= rows[i]
+        if clash:
+            j = (clash & -clash).bit_length() - 1
+            a, b = [k for k, rows in enumerate(part_rows, 1) if rows[i] >> j & 1][:2]
+            root = (i + 1, j + 1)
+            return VerifyResult(False, f"root {root} covered by parts {a} and {b}")
+        gap = ((1 << n) - (2 << i)) & ~seen
+        if gap and missing is None:
+            missing = (i + 1, (gap & -gap).bit_length())
+    if missing is not None:
+        return VerifyResult(False, f"root {missing} not covered by any part")
     if not allow_identity:
         for k, part in enumerate(parts, start=1):
             if part == identity(n):

@@ -29,12 +29,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .decompose import verify_decomposition
-from .permcore import Perm, Root, all_roots, check_permutation
+from .permcore import Perm, Root, check_permutation, inverse
 
 SIDE_A = "A"
 SIDE_B = "B"
 SIDE_C = "C"
 SIDES = (SIDE_A, SIDE_B, SIDE_C)
+
+Triple = tuple[Perm, Perm, Perm]
 
 
 @dataclass(frozen=True, order=True)
@@ -162,7 +164,7 @@ class RayMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _checked_triple(w1: Perm, w2: Perm, w3: Perm) -> tuple[Perm, Perm, Perm]:
+def _checked_triple(w1: Perm, w2: Perm, w3: Perm) -> Triple:
     triple = (check_permutation(w1), check_permutation(w2), check_permutation(w3))
     n = len(triple[0])
     result = verify_decomposition(n, list(triple), allow_identity=True)
@@ -173,34 +175,61 @@ def _checked_triple(w1: Perm, w2: Perm, w3: Perm) -> tuple[Perm, Perm, Perm]:
     return triple
 
 
+def _special(triple: Triple) -> list[tuple[Root, int, int]]:
+    """``(root, owner, k)`` for each special root, in lexicographic root order.
+
+    Part ``owner`` sends the root to ``-(e_k - e_{k+1})``: the root is the
+    pair of positions holding the values ``k + 1`` and ``k`` in ``owner``,
+    when those positions come in that order.
+    """
+    n = len(triple[0])
+    special = []
+    for t, w in enumerate(triple):
+        position = inverse(w)
+        for k in range(1, n):
+            i, j = position[k], position[k - 1]
+            if i < j:
+                special.append(((i, j), t, k))
+    special.sort()
+    assert len(special) == n - 1, (
+        f"degree {n} should contribute {n - 1} pivot roots, found {len(special)}"
+    )
+    pivots = {(t, k) for _, t, k in special}
+    assert len(pivots) == len(special), "pivot coordinates must be distinct"
+    return special
+
+
 def special_roots(w1: Perm, w2: Perm, w3: Perm) -> tuple[Root, ...]:
     """The ``n - 1`` roots sent to minus a simple root by their covering part.
 
     A root ``(i, j)`` qualifies when the unique part inverting it maps it to
     ``-(e_k - e_{k+1})``, i.e. when that part has ``w(i) = w(j) + 1``.
     Returned in lexicographic root order.  These roots always number exactly
-    ``n - 1`` and their pivot coordinates are pairwise distinct.
+    ``n - 1`` and their pivot coordinates are pairwise distinct.  The triple
+    is checked once; the roots are then read off the positions of
+    consecutive values in each part, without scanning every root.
 
     >>> special_roots((3, 2, 1), (1, 2, 3), (1, 2, 3))
     ((1, 2), (2, 3))
     >>> special_roots((2, 1), (1, 2), (1, 2))
     ((1, 2),)
     """
-    triple = _checked_triple(w1, w2, w3)
-    n = len(triple[0])
-    special = []
-    pivots = set()
-    for i, j in all_roots(n):
-        for t, w in enumerate(triple):
-            if w[i - 1] == w[j - 1] + 1:
-                special.append((i, j))
-                pivots.add((t, w[j - 1]))
-                break
-    assert len(special) == n - 1, (
-        f"degree {n} should contribute {n - 1} pivot roots, found {len(special)}"
-    )
-    assert len(pivots) == len(special), "pivot coordinates must be distinct"
-    return tuple(special)
+    return tuple(root for root, _, _ in _special(_checked_triple(w1, w2, w3)))
+
+
+def _build_equations(triple: Triple) -> tuple[FaceEquation, ...]:
+    equations = []
+    for (i, j), owner, k in _special(triple):
+        rhs: list[FaceVariable] = []
+        for u, w in enumerate(triple):
+            if u == owner:
+                continue
+            p, q = w[i - 1], w[j - 1]
+            assert p < q, "only the covering part may invert a special root"
+            rhs.extend(FaceVariable(SIDES[u], m) for m in range(p, q))
+        pivot = FaceVariable(SIDES[owner], k)
+        equations.append(FaceEquation((i, j), pivot, tuple(rhs)))
+    return tuple(equations)
 
 
 def build_equations(w1: Perm, w2: Perm, w3: Perm) -> tuple[FaceEquation, ...]:
@@ -209,29 +238,14 @@ def build_equations(w1: Perm, w2: Perm, w3: Perm) -> tuple[FaceEquation, ...]:
     For the root's covering part ``w_t`` with ``w_t(i) = w_t(j) + 1`` the
     pivot is the side-``t`` coordinate ``w_t(j)``; each other side ``u``
     maps the root to a positive ``e_p - e_q`` and contributes the free run
-    ``u_p, .., u_{q-1}``.
+    ``u_p, .., u_{q-1}``.  The triple is checked once.
 
     >>> [str(eq) for eq in build_equations((2, 1), (1, 2), (1, 2))]
     ['a1 = b1 + c1']
     >>> [str(eq) for eq in build_equations((3, 2, 1), (1, 2, 3), (1, 2, 3))]
     ['a2 = b1 + c1', 'a1 = b2 + c2']
     """
-    triple = _checked_triple(w1, w2, w3)
-    equations = []
-    for i, j in special_roots(*triple):
-        owner = next(
-            t for t, w in enumerate(triple) if w[i - 1] == w[j - 1] + 1
-        )
-        pivot = FaceVariable(SIDES[owner], triple[owner][j - 1])
-        rhs: list[FaceVariable] = []
-        for u, w in enumerate(triple):
-            if u == owner:
-                continue
-            p, q = w[i - 1], w[j - 1]
-            assert p < q, "only the covering part may invert a special root"
-            rhs.extend(FaceVariable(SIDES[u], k) for k in range(p, q))
-        equations.append(FaceEquation((i, j), pivot, tuple(rhs)))
-    return tuple(equations)
+    return _build_equations(_checked_triple(w1, w2, w3))
 
 
 def eliminate(equations: tuple[FaceEquation, ...]) -> tuple[FaceEquation, ...]:
@@ -284,30 +298,50 @@ def eliminate(equations: tuple[FaceEquation, ...]) -> tuple[FaceEquation, ...]:
     )
 
 
+def _rays(n: int, equations: tuple[FaceEquation, ...]) -> RayMatrix:
+    """The ray matrix of an equation system, filled by column index.
+
+    Each free column gets a zero row with its unit entry; each solved
+    equation then writes its right-hand-side counts into its pivot's column.
+    """
+    offset = {side: s * (n - 1) - 1 for s, side in enumerate(SIDES)}
+
+    def column(var: FaceVariable) -> int:
+        return offset[var.side] + var.index
+
+    columns = tuple(FaceVariable(side, k) for side in SIDES for k in range(1, n))
+    solved = eliminate(equations)
+    pivots = {column(eq.pivot) for eq in solved}
+    free = [col for col in range(len(columns)) if col not in pivots]
+    row_of = {col: r for r, col in enumerate(free)}
+    rows = [[0] * len(columns) for _ in free]
+    for r, col in enumerate(free):
+        rows[r][col] = 1
+    for eq in solved:
+        pivot = column(eq.pivot)
+        for var, count in Counter(eq.rhs).items():
+            rows[row_of[column(var)]][pivot] = count
+    return RayMatrix(
+        n=n,
+        free=tuple(columns[col] for col in free),
+        rows=tuple(tuple(row) for row in rows),
+    )
+
+
 def rays(w1: Perm, w2: Perm, w3: Perm) -> RayMatrix:
     """The ``2(n-1)`` generating rays of the face selected by the triple.
 
     Each ray sets one free coordinate to 1, the other free coordinates to 0,
     and evaluates the pivots from the eliminated system.  Rows follow the
     canonical free-coordinate order (sides ``A``, ``B``, ``C``, ascending
-    index).
+    index).  The triple is checked once, and each pivot's column is written
+    from its solved right-hand side rather than looked up row by row.
 
     >>> rays((2, 1), (1, 2), (1, 2)).rows
     ((1, 1, 0), (1, 0, 1))
     """
     triple = _checked_triple(w1, w2, w3)
-    n = len(triple[0])
-    solved = eliminate(build_equations(*triple))
-    expressions = {eq.pivot: Counter(eq.rhs) for eq in solved}
-    columns = tuple(FaceVariable(side, k) for side in SIDES for k in range(1, n))
-    free = tuple(var for var in columns if var not in expressions)
-    rows = []
-    for free_var in free:
-        values = {free_var: 1}
-        for pivot, expr in expressions.items():
-            values[pivot] = expr[free_var]
-        rows.append(tuple(values.get(var, 0) for var in columns))
-    return RayMatrix(n=n, free=free, rows=tuple(rows))
+    return _rays(len(triple[0]), _build_equations(triple))
 
 
 def rays_json(w1: Perm, w2: Perm, w3: Perm) -> str:
@@ -315,14 +349,17 @@ def rays_json(w1: Perm, w2: Perm, w3: Perm) -> str:
 
     ``equations`` lists the defining balance equations before elimination;
     ``rays`` matches :meth:`RayMatrix.to_csv` row for row.  Output is
-    deterministic, so identical inputs give identical bytes.
+    deterministic, so identical inputs give identical bytes.  The triple is
+    checked and its equations built once, for both lists.
     """
-    matrix = rays(w1, w2, w3)
+    triple = _checked_triple(w1, w2, w3)
+    equations = _build_equations(triple)
+    matrix = _rays(len(triple[0]), equations)
     payload = {
         "n": matrix.n,
         "free_order": [str(var) for var in matrix.free],
         "rays": [list(row) for row in matrix.rows],
-        "equations": [str(eq) for eq in build_equations(w1, w2, w3)],
+        "equations": [str(eq) for eq in equations],
     }
     return json.dumps(payload, indent=2) + "\n"
 

@@ -197,8 +197,10 @@ def permutation_from_inversion_set(phi: RootSubset) -> Perm:
     in phi}``: one plus the later positions that ``i`` beats plus the earlier
     positions that fail to beat ``i``.  Inverse of :func:`inversion_set`.
 
-    Raises ``ValueError`` naming a violating triple when ``phi`` is not
-    closed and co-closed.
+    The images are rebuilt first, in O(n²); ``phi`` is accepted when they
+    form a permutation whose inversion set is ``phi``.  Otherwise ``phi`` is
+    not closed or not co-closed, and ``ValueError`` names a violating triple
+    from the O(n³) scans, which run only on this failure path.
 
     >>> permutation_from_inversion_set(RootSubset(3, {(1, 2)}))
     (2, 1, 3)
@@ -209,20 +211,6 @@ def permutation_from_inversion_set(phi: RootSubset) -> Perm:
         ...
     ValueError: not an inversion set: (1,3) is a member but neither (1,2) nor (2,3) is
     """
-    bad = closure_violation(phi)
-    if bad is not None:
-        i, j, k = bad
-        raise ValueError(
-            f"not an inversion set: ({i},{j}) and ({j},{k}) are members"
-            f" but ({i},{k}) is not"
-        )
-    bad = coclosure_violation(phi)
-    if bad is not None:
-        i, j, k = bad
-        raise ValueError(
-            f"not an inversion set: ({i},{k}) is a member"
-            f" but neither ({i},{j}) nor ({j},{k}) is"
-        )
     n = phi.n
     roots = phi.roots
     images = []
@@ -231,8 +219,20 @@ def permutation_from_inversion_set(phi: RootSubset) -> Perm:
         earlier_smaller = sum(1 for j in range(1, i) if (j, i) not in roots)
         images.append(1 + later_beaten + earlier_smaller)
     sigma = tuple(images)
-    assert sorted(sigma) == list(range(1, n + 1)), sigma
-    return sigma
+    if sorted(sigma) == list(range(1, n + 1)) and inversion_set(sigma) == phi:
+        return sigma
+    bad = closure_violation(phi)
+    if bad is not None:
+        i, j, k = bad
+        raise ValueError(
+            f"not an inversion set: ({i},{j}) and ({j},{k}) are members"
+            f" but ({i},{k}) is not"
+        )
+    i, j, k = coclosure_violation(phi)
+    raise ValueError(
+        f"not an inversion set: ({i},{k}) is a member"
+        f" but neither ({i},{j}) nor ({j},{k}) is"
+    )
 
 
 def identity(n: int) -> Perm:

@@ -171,6 +171,47 @@ def test_verify_names_first_missing_root():
     assert result.detail == "root (1, 3) not covered by any part"
 
 
+def test_verify_names_the_first_overlap_of_a_row_across_all_parts():
+    # row 1: parts 1 and 2 share (1, 4), parts 2 and 3 share the earlier (1, 2)
+    parts = [(2, 3, 4, 1), (4, 1, 2, 3), (2, 1, 3, 4)]
+    assert verify_decomposition(4, parts).detail == "root (1, 2) covered by parts 2 and 3"
+
+
+def _oracle_verify(n, parts, allow_identity):
+    """Plain set-based verification, the reference for verify_decomposition."""
+    covering = {}
+    for k, part in enumerate(parts, start=1):
+        for i, j in all_roots(n):
+            if part[i - 1] > part[j - 1]:
+                covering.setdefault((i, j), []).append(k)
+    overlapped = sorted(root for root, ks in covering.items() if len(ks) > 1)
+    if overlapped:
+        a, b = covering[overlapped[0]][:2]
+        return False, f"root {overlapped[0]} covered by parts {a} and {b}"
+    for root in all_roots(n):
+        if root not in covering:
+            return False, f"root {root} not covered by any part"
+    if not allow_identity and identity(n) in parts:
+        return False, f"part {parts.index(identity(n)) + 1} is the identity"
+    return True, f"valid decomposition of the degree-{n} positive system"
+
+
+def test_verify_matches_a_set_based_oracle():
+    rng = random.Random(20111)
+    cases = []
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        parts = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(rng.randint(0, 4))]
+        cases.append((n, parts))
+    for n, r in itertools.product(range(1, 6), range(5)):
+        for dec in enumerate_decompositions(n, r, allow_identity=True):
+            cases.append((n, rng.sample(dec.parts, r)))
+    for n, parts in cases:
+        for allow_identity in (True, False):
+            result = verify_decomposition(n, parts, allow_identity)
+            assert (result.ok, result.detail) == _oracle_verify(n, parts, allow_identity)
+
+
 def test_verify_identity_part_toggle():
     parts = [(2, 1), (1, 2)]
     assert verify_decomposition(2, parts)

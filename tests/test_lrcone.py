@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootdec.decompose import enumerate_decompositions
+from rootdec import decompose, lrcone, permcore
+from rootdec.decompose import enumerate_decompositions, verify_decomposition
 from rootdec.lrcone import (
     SIDES,
     FaceEquation,
@@ -23,7 +25,7 @@ from rootdec.lrcone import (
     rays_json,
     special_roots,
 )
-from rootdec.permcore import compose, identity, longest
+from rootdec.permcore import complement_decomposition, compose, identity, longest
 
 W1 = (5, 3, 4, 8, 1, 2, 6, 7)
 W2 = (4, 5, 6, 1, 7, 8, 3, 2)
@@ -253,6 +255,46 @@ def test_rays_json_round_trip():
     assert payload["rays"] == [list(row) for row in rays(W1, W2, W3).rows]
     assert "a2 = b5 + b6 + b7 + c3 + c4" in payload["equations"]
     assert len(payload["equations"]) == 7
+
+
+# ---------------------------------------------------------------------------
+# work done per call
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """The degree of every verify_decomposition call lrcone makes during the test."""
+    calls = []
+    real_verify = lrcone.verify_decomposition
+
+    def counting_verify(n, perms, allow_identity=True):
+        calls.append(n)
+        return real_verify(n, perms, allow_identity)
+
+    monkeypatch.setattr(lrcone, "verify_decomposition", counting_verify)
+    return calls
+
+
+@pytest.mark.parametrize("function", [rays, rays_json, build_equations, special_roots])
+def test_each_public_call_checks_the_triple_once(verify_calls, function):
+    function(W1, W2, W3)
+    assert verify_calls == [8]
+
+
+def test_verify_builds_no_inversion_sets(monkeypatch):
+    calls = []
+    real_inversion_set = permcore.inversion_set
+
+    def counting_inversion_set(sigma):
+        calls.append(sigma)
+        return real_inversion_set(sigma)
+
+    monkeypatch.setattr(permcore, "inversion_set", counting_inversion_set)
+    monkeypatch.setattr(decompose, "inversion_set", counting_inversion_set)
+    sigma = tuple(random.Random(200).sample(range(1, 201), 200))
+    triple = (*complement_decomposition(sigma), identity(200))
+    assert verify_decomposition(200, triple).ok
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -66,10 +66,29 @@ def test_permutation_from_inversion_set_examples():
 
 
 def test_from_inversion_set_diagnostics_name_a_triple():
-    with pytest.raises(ValueError, match=r"\(1,3\) is a member but neither \(1,2\) nor \(2,3\)"):
-        permutation_from_inversion_set(RootSubset(3, {(1, 3)}))
-    with pytest.raises(ValueError, match=r"\(1,2\) and \(2,3\) are members but \(1,3\) is not"):
-        permutation_from_inversion_set(RootSubset(3, {(1, 2), (2, 3)}))
+    cases = [
+        (3, {(1, 3)}, "(1,3) is a member but neither (1,2) nor (2,3) is"),
+        (3, {(1, 2), (2, 3)}, "(1,2) and (2,3) are members but (1,3) is not"),
+        (6, {(1, 2), (2, 5), (3, 6), (1, 6)}, "(1,2) and (2,5) are members but (1,5) is not"),
+    ]
+    for n, roots, message in cases:
+        with pytest.raises(ValueError) as caught:
+            permutation_from_inversion_set(RootSubset(n, roots))
+        assert str(caught.value) == f"not an inversion set: {message}"
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_from_inversion_set_accepts_exactly_the_inversion_sets(n):
+    # the O(n^2) round trip against the closure/co-closure triple scans,
+    # over every subset of the positive system
+    roots = all_roots(n)
+    for mask in range(1 << len(roots)):
+        phi = RootSubset(n, {root for k, root in enumerate(roots) if mask >> k & 1})
+        if is_inversion_set(phi):
+            assert inversion_set(permutation_from_inversion_set(phi)) == phi
+        else:
+            with pytest.raises(ValueError, match="not an inversion set"):
+                permutation_from_inversion_set(phi)
 
 
 def test_group_operations():
