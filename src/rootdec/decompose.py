@@ -76,6 +76,8 @@ FAMILIES = (
 )
 
 DEFAULT_ENUMERATION_BOUND = 8
+# Measured in process on a 2-core machine: every family takes at most 0.06 s
+# at n_max = 64, while at 128 all but the two Catalan ones take 0.16-0.44 s.
 DEFAULT_COUNT_LIMIT = 64
 
 T = TypeVar("T")
@@ -92,30 +94,22 @@ class Decomposition:
     Parts are stored sorted lexicographically by one-line notation; identity
     parts may repeat (a multiset), nonidentity parts never can since their
     inversion sets would overlap.  Construction validates the partition
-    property, so every instance is a genuine decomposition.
+    property through :func:`verify_decomposition` and raises ``ValueError``
+    with its detail, so every instance is a genuine decomposition.
     """
 
     n: int
     parts: tuple[Perm, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"degree must be at least 1, got {self.n}")
         object.__setattr__(
             self, "parts", tuple(sorted(check_permutation(p) for p in self.parts))
         )
-        covered: set[Root] = set()
-        for part in self.parts:
-            if len(part) != self.n:
-                raise ValueError(
-                    f"part {format_permutation(part)} has degree {len(part)},"
-                    f" expected {self.n}"
-                )
-            for root in inversion_set(part):
-                if root in covered:
-                    raise ValueError(f"root {root} covered twice")
-                covered.add(root)
-        missing = len(all_roots(self.n)) - len(covered)
-        if missing:
-            raise ValueError(f"{missing} roots not covered")
+        result = verify_decomposition(self.n, self.parts)
+        if not result:
+            raise ValueError(result.detail)
 
     def __str__(self) -> str:
         return " | ".join(format_permutation(p) for p in self.parts)
@@ -691,9 +685,7 @@ def _triples_counts(
     return triples_a, triples_bc
 
 
-def count_structural(
-    family: str, n_max: int, *, limit: int = DEFAULT_COUNT_LIMIT
-) -> CountTable:
+def count_structural(family: str, n_max: int) -> CountTable:
     """Exact counts for one family at 1..n_max via the recursive classification.
 
     No brute force: every value comes from the dynamic programs above, so
@@ -710,8 +702,8 @@ def count_structural(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if not 1 <= n_max <= limit:
-        raise ValueError(f"n_max must be in 1..{limit}, got {n_max}")
+    if not 1 <= n_max <= DEFAULT_COUNT_LIMIT:
+        raise ValueError(f"n_max must be in 1..{DEFAULT_COUNT_LIMIT}, got {n_max}")
 
     if family == "A_MAXIMAL":
         cat_a, _ = _catalan_counts(n_max)

@@ -23,7 +23,7 @@ basis for structural recursion (irreducibility tests, exact counting).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .permcore import (
     Perm,
@@ -50,8 +50,18 @@ class Block:
     length: int
 
 
-def _checked_parts(parts: Iterable[Iterable[int]]) -> tuple[Perm, ...]:
-    return tuple(check_permutation(part) for part in parts)
+def _checked_inflation(
+    skeleton: Iterable[int], parts: Iterable[Iterable[int]]
+) -> tuple[Perm, tuple[Perm, ...]]:
+    """Validate an inflation expression: one part per skeleton position."""
+    skeleton = check_permutation(skeleton)
+    parts = tuple(check_permutation(part) for part in parts)
+    if len(parts) != len(skeleton):
+        raise ValueError(
+            f"skeleton of degree {len(skeleton)} needs {len(skeleton)} parts,"
+            f" got {len(parts)}"
+        )
+    return skeleton, parts
 
 
 def inflate(skeleton: Iterable[int], parts: Sequence[Iterable[int]]) -> Perm:
@@ -69,13 +79,7 @@ def inflate(skeleton: Iterable[int], parts: Sequence[Iterable[int]]) -> Perm:
     >>> inflate((1, 2), [(1, 2), (1,)])
     (1, 2, 3)
     """
-    skeleton = check_permutation(skeleton)
-    parts = _checked_parts(parts)
-    if len(parts) != len(skeleton):
-        raise ValueError(
-            f"skeleton of degree {len(skeleton)} needs {len(skeleton)} parts,"
-            f" got {len(parts)}"
-        )
+    skeleton, parts = _checked_inflation(skeleton, parts)
     sizes = [len(part) for part in parts]
     images: list[int] = []
     for a, part in enumerate(parts):
@@ -97,13 +101,7 @@ def inflation_inversion_set(
     >>> sorted(inflation_inversion_set((2, 1), [(1,), (1, 2)]))
     [(1, 2), (1, 3)]
     """
-    skeleton = check_permutation(skeleton)
-    parts = _checked_parts(parts)
-    if len(parts) != len(skeleton):
-        raise ValueError(
-            f"skeleton of degree {len(skeleton)} needs {len(skeleton)} parts,"
-            f" got {len(parts)}"
-        )
+    skeleton, parts = _checked_inflation(skeleton, parts)
     sizes = [len(part) for part in parts]
     starts = [1 + sum(sizes[:a]) for a in range(len(parts))]
     total = sum(sizes)
@@ -118,12 +116,30 @@ def inflation_inversion_set(
     return RootSubset(total, frozenset(pairs))
 
 
+def _windows(sigma: Perm) -> Iterator[tuple[int, int]]:
+    """Yield ``(start, end)`` for each block of two or more positions.
+
+    Positions are 1-based and inclusive, in order of start, then end.  Each
+    window is grown from its start while tracking min and max image; it is
+    a block exactly when the image span equals the window length.
+    """
+    n = len(sigma)
+    for start in range(1, n):
+        low = high = sigma[start - 1]
+        for end in range(start + 1, n + 1):
+            value = sigma[end - 1]
+            if value < low:
+                low = value
+            elif value > high:
+                high = value
+            if high - low == end - start:
+                yield start, end
+
+
 def blocks(sigma: Iterable[int]) -> tuple[Block, ...]:
     """All blocks of ``sigma``, sorted by (start, length).
 
-    Includes the n singleton blocks and the full block.  Each window is
-    grown from its start while tracking min and max image; it is a block
-    exactly when the image span equals the window length.
+    Includes the n singleton blocks and the full block.
 
     >>> len(blocks((1, 2, 3)))
     6
@@ -131,18 +147,9 @@ def blocks(sigma: Iterable[int]) -> tuple[Block, ...]:
     5
     """
     sigma = check_permutation(sigma)
-    n = len(sigma)
-    found: list[Block] = []
-    for start in range(1, n + 1):
-        low = high = sigma[start - 1]
-        found.append(Block(start, 1))
-        for end in range(start + 1, n + 1):
-            value = sigma[end - 1]
-            low = min(low, value)
-            high = max(high, value)
-            if high - low == end - start:
-                found.append(Block(start, end - start + 1))
-    return tuple(found)
+    found = [Block(start, 1) for start in range(1, len(sigma) + 1)]
+    found += [Block(start, end - start + 1) for start, end in _windows(sigma)]
+    return tuple(sorted(found, key=lambda b: (b.start, b.length)))
 
 
 def is_simple(sigma: Iterable[int]) -> bool:
@@ -158,15 +165,7 @@ def is_simple(sigma: Iterable[int]) -> bool:
     """
     sigma = check_permutation(sigma)
     n = len(sigma)
-    for start in range(1, n + 1):
-        low = high = sigma[start - 1]
-        for end in range(start + 1, n + 1):
-            value = sigma[end - 1]
-            low = min(low, value)
-            high = max(high, value)
-            if high - low == end - start and end - start + 1 < n:
-                return False
-    return True
+    return all(end - start + 1 == n for start, end in _windows(sigma))
 
 
 def is_atomic(sigma: Iterable[int]) -> bool:
@@ -194,14 +193,7 @@ def _plus_cut_points(sigma: Perm) -> list[int]:
 
 def _minus_cut_points(sigma: Perm) -> list[int]:
     """Positions t < n where sigma maps {1..t} onto the top t values."""
-    n = len(sigma)
-    cuts = []
-    low = n + 1
-    for t in range(1, n):
-        low = min(low, sigma[t - 1])
-        if low == n - t + 1:
-            cuts.append(t)
-    return cuts
+    return _plus_cut_points(tuple(len(sigma) + 1 - value for value in sigma))
 
 
 def is_plus_decomposable(sigma: Iterable[int]) -> bool:
@@ -241,11 +233,10 @@ class SimpleForm:
     parts: tuple[Perm, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "skeleton", check_permutation(self.skeleton))
-        object.__setattr__(self, "parts", _checked_parts(self.parts))
-        m = len(self.skeleton)
-        if len(self.parts) != m:
-            raise ValueError(f"skeleton of degree {m} needs {m} parts, got {len(self.parts)}")
+        skeleton, parts = _checked_inflation(self.skeleton, self.parts)
+        object.__setattr__(self, "skeleton", skeleton)
+        object.__setattr__(self, "parts", parts)
+        m = len(skeleton)
         if m < 2:
             raise ValueError("a simple form has at least two parts")
         if self.skeleton_kind == SIMPLE:
@@ -319,20 +310,14 @@ def simple_form(sigma: Iterable[int]) -> SimpleForm:
     # Coarsest partition into maximal proper blocks.  With a simple skeleton
     # every proper block is confined to one partition interval, so taking the
     # longest proper block at each successive start recovers the partition.
-    cuts = []
-    start = 1
-    while start <= n:
-        low = high = sigma[start - 1]
-        best_end = start
-        for end in range(start + 1, n + 1):
-            value = sigma[end - 1]
-            low = min(low, value)
-            high = max(high, value)
-            if high - low == end - start and end - start + 1 < n:
-                best_end = end
-        if best_end < n:
-            cuts.append(best_end)
-        start = best_end + 1
+    longest_end = list(range(n + 1))  # a start with no proper block ends there
+    for start, end in _windows(sigma):
+        if end - start + 1 < n:
+            longest_end[start] = end
+    ends = [0]
+    while ends[-1] < n:
+        ends.append(longest_end[ends[-1] + 1])
+    cuts = ends[1:-1]
     parts = _parts_for_cuts(sigma, cuts)
     skeleton_positions = [1, *(cut + 1 for cut in cuts)]
     skeleton = restrict(sigma, skeleton_positions)
@@ -406,8 +391,7 @@ def is_exceptional(sigma: Iterable[int]) -> bool:
 
 def format_inflation(skeleton: Iterable[int], parts: Sequence[Iterable[int]]) -> str:
     """Render an inflation expression like ``(2,1)[(1),(1,2)]``."""
-    skeleton = check_permutation(skeleton)
-    parts = _checked_parts(parts)
+    skeleton, parts = _checked_inflation(skeleton, parts)
 
     def one(p: Perm) -> str:
         return "(" + ",".join(str(v) for v in p) + ")"
@@ -462,13 +446,8 @@ def parse_inflation(text: str) -> tuple[Perm, tuple[Perm, ...]]:
         raise ValueError(f"cannot parse inflation expression from {text!r}")
     skeleton = _parse_parenthesized(stripped[:open_bracket])
     inner = stripped[open_bracket + 1 : -1]
-    parts = tuple(_parse_parenthesized(chunk) for chunk in _split_top_level(inner))
-    if len(parts) != len(skeleton):
-        raise ValueError(
-            f"skeleton of degree {len(skeleton)} needs {len(skeleton)} parts,"
-            f" got {len(parts)}"
-        )
-    return skeleton, parts
+    parts = (_parse_parenthesized(chunk) for chunk in _split_top_level(inner))
+    return _checked_inflation(skeleton, parts)
 
 
 def parse_simple_form(text: str) -> SimpleForm:

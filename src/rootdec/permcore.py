@@ -142,15 +142,10 @@ def coclosure_violation(phi: RootSubset) -> tuple[int, int, int] | None:
     """A triple ``i < j < k`` witnessing a co-closure failure, or ``None``.
 
     Co-closure requires: whenever ``(i,j)`` and ``(j,k)`` are both absent,
-    ``(i,k)`` is absent too (equivalently, the complement is closed).
+    ``(i,k)`` is absent too.  That is closure of the complement, so the
+    witness is the complement's closure witness (the same scan order).
     """
-    roots = phi.roots
-    for i in range(1, phi.n - 1):
-        for j in range(i + 1, phi.n):
-            for k in range(j + 1, phi.n + 1):
-                if (i, j) not in roots and (j, k) not in roots and (i, k) in roots:
-                    return (i, j, k)
-    return None
+    return closure_violation(phi.complement())
 
 
 def is_closed(phi: RootSubset) -> bool:
@@ -198,9 +193,9 @@ def permutation_from_inversion_set(phi: RootSubset) -> Perm:
     positions that fail to beat ``i``.  Inverse of :func:`inversion_set`.
 
     The images are rebuilt first, in O(n²); ``phi`` is accepted when they
-    form a permutation whose inversion set is ``phi``.  Otherwise ``phi`` is
-    not closed or not co-closed, and ``ValueError`` names a violating triple
-    from the O(n³) scans, which run only on this failure path.
+    form a permutation.  Otherwise ``phi`` is not closed or not co-closed,
+    and ``ValueError`` names a violating triple from the O(n³) scans, which
+    run only on this failure path.
 
     >>> permutation_from_inversion_set(RootSubset(3, {(1, 2)}))
     (2, 1, 3)
@@ -218,8 +213,13 @@ def permutation_from_inversion_set(phi: RootSubset) -> Perm:
         later_beaten = sum(1 for j in range(i + 1, n + 1) if (i, j) in roots)
         earlier_smaller = sum(1 for j in range(1, i) if (j, i) not in roots)
         images.append(1 + later_beaten + earlier_smaller)
+    # Read phi as a tournament on the positions: i beats j when i < j and
+    # (i,j) is in phi, or when j < i and (j,i) is not.  The images are 1 +
+    # the out-degrees (scores).  A tournament is transitive exactly when its
+    # scores are 0..n-1, and then i beats j iff i scores higher, i.e. iff
+    # sigma(i) > sigma(j): the inversion set of sigma is phi itself.
     sigma = tuple(images)
-    if sorted(sigma) == list(range(1, n + 1)) and inversion_set(sigma) == phi:
+    if sorted(sigma) == list(range(1, n + 1)):
         return sigma
     bad = closure_violation(phi)
     if bad is not None:

@@ -67,12 +67,23 @@ def test_blocks_examples():
 
 
 def test_blocks_sorted_and_images_are_intervals():
-    for sigma in perms(5):
-        found = blocks(sigma)
-        assert list(found) == sorted(found, key=lambda b: (b.start, b.length))
-        for b in found:
-            images = sorted(sigma[b.start - 1 : b.start + b.length - 1])
-            assert images == list(range(images[0], images[0] + b.length))
+    for n in range(1, 7):
+        for sigma in perms(n):
+            found = blocks(sigma)
+            assert list(found) == sorted(found, key=lambda b: (b.start, b.length))
+            for b in found:
+                images = sorted(sigma[b.start - 1 : b.start + b.length - 1])
+                assert images == list(range(images[0], images[0] + b.length))
+            # complete: every interval of positions whose images form an interval
+            windows = [
+                (start, length)
+                for start in range(1, n + 1)
+                for length in range(1, n + 2 - start)
+                if max(sigma[start - 1 : start - 1 + length])
+                - min(sigma[start - 1 : start - 1 + length])
+                == length - 1
+            ]
+            assert [(b.start, b.length) for b in found] == windows
 
 
 def test_simple_atomic_examples():
@@ -89,6 +100,15 @@ def test_plus_minus_decomposable_are_exclusive():
     for n in range(1, 7):
         for sigma in perms(n):
             assert not (is_plus_decomposable(sigma) and is_minus_decomposable(sigma))
+            # the definitions: a proper prefix onto the bottom resp. top values
+            prefixes = [set(sigma[:t]) for t in range(1, n)]
+            assert is_plus_decomposable(sigma) == any(
+                prefix == set(range(1, t + 1)) for t, prefix in enumerate(prefixes, 1)
+            )
+            assert is_minus_decomposable(sigma) == any(
+                prefix == set(range(n - t + 1, n + 1))
+                for t, prefix in enumerate(prefixes, 1)
+            )
 
 
 def test_simple_form_examples():
@@ -163,6 +183,8 @@ def test_serialization_round_trip():
     skeleton, parts = parse_inflation("(1,2,3,4)[(1,3,2),(1),(2,1),(1,2)]")
     assert inflate(skeleton, parts) == (1, 3, 2, 4, 6, 5, 7, 8)
     assert format_inflation(skeleton, parts) == "(1,2,3,4)[(1,3,2),(1),(2,1),(1,2)]"
+    with pytest.raises(ValueError, match="needs 2 parts, got 1"):
+        format_inflation((2, 1), [(1,)])  # text that parse_inflation would reject
 
 
 def test_parse_simple_form_rejects_non_canonical():

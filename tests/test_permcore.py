@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from rootdec.permcore import (
     RootSubset,
     all_roots,
+    coclosure_violation,
     complement_decomposition,
     compose,
     format_permutation,
@@ -77,18 +79,34 @@ def test_from_inversion_set_diagnostics_name_a_triple():
         assert str(caught.value) == f"not an inversion set: {message}"
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_from_inversion_set_accepts_exactly_the_inversion_sets(n):
-    # the O(n^2) round trip against the closure/co-closure triple scans,
-    # over every subset of the positive system
+def candidate_subsets(n: int):
+    """Every subset of the positive system up to n = 5; above that, every
+    one-root flip of a few seeded inversion sets."""
     roots = all_roots(n)
-    for mask in range(1 << len(roots)):
-        phi = RootSubset(n, {root for k, root in enumerate(roots) if mask >> k & 1})
-        if is_inversion_set(phi):
+    if n <= 5:
+        for mask in range(1 << len(roots)):
+            yield RootSubset(n, {root for k, root in enumerate(roots) if mask >> k & 1})
+        return
+    rng = random.Random(n)
+    for _ in range(4):
+        inv = inversion_set(rng.sample(range(1, n + 1), n)).roots
+        for root in roots:
+            yield RootSubset(n, inv ^ {root})
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_from_inversion_set_accepts_exactly_the_inversion_sets(n):
+    # the O(n^2) round trip against the closure/co-closure triple scans
+    verdicts = set()
+    for phi in candidate_subsets(n):
+        accepted = is_inversion_set(phi)
+        verdicts.add(accepted)
+        if accepted:
             assert inversion_set(permutation_from_inversion_set(phi)) == phi
         else:
             with pytest.raises(ValueError, match="not an inversion set"):
                 permutation_from_inversion_set(phi)
+    assert verdicts == ({True, False} if n >= 3 else {True})
 
 
 def test_group_operations():
@@ -180,10 +198,21 @@ def test_complement_partitions_positive_system(n):
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_coclosed_iff_complement_closed(n):
+    # coclosure_violation is built on the complement, so compare it with a
+    # direct first-witness scan of the definition instead
     roots = all_roots(n)
     for bits in itertools.product((False, True), repeat=len(roots)):
         phi = RootSubset(n, {r for r, b in zip(roots, bits) if b})
-        assert is_coclosed(phi) == is_closed(phi.complement())
+        witness = next(
+            (
+                (i, j, k)
+                for i, j, k in itertools.combinations(range(1, n + 1), 3)
+                if (i, j) not in phi and (j, k) not in phi and (i, k) in phi
+            ),
+            None,
+        )
+        assert coclosure_violation(phi) == witness
+        assert is_coclosed(phi) == (witness is None) == is_closed(phi.complement())
 
 
 @pytest.mark.parametrize("n", range(2, 8))
