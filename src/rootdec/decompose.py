@@ -341,6 +341,14 @@ def exact_covers(
     contains a simple root, so once the simple roots are covered an
     uncovered root is a dead end.
 
+    Within a lowest-bit bucket the parts are grouped by signature, their
+    mask restricted to the simple bits, and the groups keep the order in
+    which their signatures first appear.  A group whose signature meets
+    the covered roots is skipped whole, since each of its parts meets
+    them too; only the parts of the other groups are tested one by one.
+    So a bucket is searched group by group, each group in input order,
+    and covers come out in that order.
+
     With ``r`` fixed, the tail of the search is forced.  With one part
     left, it must be exactly the uncovered rest, so the parts with that
     mask are looked up instead of searched.  With two parts left, one scan
@@ -358,16 +366,20 @@ def exact_covers(
     >>> list(exact_covers([], [], [], r=2, pad=True))
     [()]
     """
-    layout = list(dict.fromkeys([*simple, *roots]))
+    distinct_simple = dict.fromkeys(simple)
+    layout = list(dict.fromkeys([*distinct_simple, *roots]))
     bit = {root: 1 << k for k, root in enumerate(layout)}
     full = (1 << len(layout)) - 1
-    buckets: dict[int, list[tuple[int, T]]] = {}
+    simple_bits = (1 << len(distinct_simple)) - 1
+    groups: dict[int, dict[int, list[tuple[int, T]]]] = {}
     by_mask: dict[int, list[T]] = {}
     for item, root_set in parts:
         mask = sum(bit[root] for root in root_set)
         if mask:
-            buckets.setdefault(mask & -mask, []).append((mask, item))
+            bucket = groups.setdefault(mask & -mask, {})
+            bucket.setdefault(mask & simple_bits, []).append((mask, item))
             by_mask.setdefault(mask, []).append(item)
+    buckets = {low: list(bucket.items()) for low, bucket in groups.items()}
 
     chosen: list[T] = []
 
@@ -383,20 +395,26 @@ def exact_covers(
                 for last in by_mask.get(rest, ()):
                     yield (*chosen, last)
             elif left == 2:
-                for mask, item in buckets.get(rest & -rest, ()):
-                    if mask == rest:
-                        if pad:
-                            yield (*chosen, item)
-                    elif not mask & covered:
-                        for last in by_mask.get(rest ^ mask, ()):
-                            yield (*chosen, item, last)
+                for signature, group in buckets.get(rest & -rest, ()):
+                    if signature & covered:
+                        continue
+                    for mask, item in group:
+                        if mask == rest:
+                            if pad:
+                                yield (*chosen, item)
+                        elif not mask & covered:
+                            for last in by_mask.get(rest ^ mask, ()):
+                                yield (*chosen, item, last)
             if left <= 2:
                 return
-        for mask, item in buckets.get(~covered & (covered + 1), ()):
-            if not mask & covered:
-                chosen.append(item)
-                yield from descend(covered | mask)
-                chosen.pop()
+        for signature, group in buckets.get(~covered & (covered + 1), ()):
+            if signature & covered:
+                continue
+            for mask, item in group:
+                if not mask & covered:
+                    chosen.append(item)
+                    yield from descend(covered | mask)
+                    chosen.pop()
 
     return descend(0)
 
@@ -448,12 +466,14 @@ def enumerate_decompositions(
     def parts() -> Iterator[tuple[Perm, frozenset[Root]]]:
         # a generator, so the search keeps only each part's bitmask
         for perm in itertools.permutations(range(1, n + 1)):
+            # a maximal part holds one simple root, and the simple roots
+            # of an inversion set are the permutation's descents
+            if maximal and sum(a > b for a, b in zip(perm, perm[1:])) != 1:
+                continue
             inv = inversion_set(perm).roots
             if not inv:
                 continue
             if irreducible_only and not is_irreducible_structural(perm):
-                continue
-            if maximal and len(inv.intersection(simple)) != 1:
                 continue
             yield perm, inv
 

@@ -321,7 +321,6 @@ def simple_form(sigma: Iterable[int]) -> SimpleForm:
     parts = _parts_for_cuts(sigma, cuts)
     skeleton_positions = [1, *(cut + 1 for cut in cuts)]
     skeleton = restrict(sigma, skeleton_positions)
-    assert len(skeleton) >= 4 and is_simple(skeleton), (sigma, skeleton)
     form = SimpleForm(SIMPLE, skeleton, parts)
     assert form.permutation() == sigma
     return form

@@ -386,11 +386,59 @@ def _type_a_family(n):
     return all_roots(n), simple_roots(n), parts
 
 
-@pytest.mark.parametrize(
+COVER_FAMILIES = pytest.mark.parametrize(
     "family",
     [_random_family(seed) for seed in range(12)] + [_type_a_family(n) for n in range(1, 6)],
     ids=[f"random{seed}" for seed in range(12)] + [f"A{n}" for n in range(1, 6)],
 )
+
+
+def _brute_force_covers(roots, parts, most):
+    # every set of at most `most` pairwise disjoint nonempty parts whose
+    # union is `roots`: part combinations grown in list order, on root sets
+    roots = frozenset(roots)
+    parts = [(item, frozenset(root_set)) for item, root_set in parts if root_set]
+    found = []
+
+    def extend(start, items, union):
+        if union == roots:
+            found.append(tuple(sorted(items)))
+        elif len(items) < most:
+            for k in range(start, len(parts)):
+                item, root_set = parts[k]
+                if not root_set & union:
+                    extend(k + 1, [*items, item], union | root_set)
+
+    extend(0, [], frozenset())
+    return sorted(found)
+
+
+def _multiset(covers):
+    return sorted(tuple(sorted(cover)) for cover in covers)
+
+
+@COVER_FAMILIES
+def test_exact_covers_match_a_brute_force_oracle(family):
+    # the random families hold parts without a simple root, parts that share
+    # a simple-root signature and repeated root sets
+    roots, simple, parts = family
+    oracle = _brute_force_covers(roots, parts, 4)
+    root_sets = dict(parts)
+    free = list(exact_covers(roots, simple, parts))
+    for cover in free:
+        assert sum(len(root_sets[item]) for item in cover) == len(set(roots))
+        assert frozenset().union(*(root_sets[item] for item in cover)) == set(roots)
+    assert _multiset(c for c in free if len(c) <= 4) == oracle
+    for r in range(5):
+        assert _multiset(exact_covers(roots, simple, parts, r)) == [
+            c for c in oracle if len(c) == r
+        ]
+        assert _multiset(exact_covers(roots, simple, parts, r, pad=True)) == [
+            c for c in oracle if len(c) <= r
+        ]
+
+
+@COVER_FAMILIES
 def test_fixed_part_count_covers_equal_the_filtered_free_search(family):
     # the forced last one or two parts of a fixed-r search must find exactly
     # the covers of the free search with that many parts, in the same order

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootdec import inflation
 from rootdec.inflation import (
     IDENTITY,
     REVERSAL,
@@ -134,6 +135,20 @@ def test_simple_form_small_degrees():
     assert simple_form(longest(4)).parts == ((1,),) * 4
     with pytest.raises(ValueError, match="degree 1"):
         simple_form((1,))
+
+
+def test_simple_form_checks_a_simple_skeleton_once(monkeypatch):
+    # one is_simple call on sigma itself and one in SimpleForm's own check
+    calls = []
+    real_is_simple = inflation.is_simple
+
+    def counting_is_simple(sigma):
+        calls.append(len(sigma))
+        return real_is_simple(sigma)
+
+    monkeypatch.setattr(inflation, "is_simple", counting_is_simple)
+    assert simple_form((5, 3, 4, 8, 1, 2, 6, 7)).skeleton == (2, 4, 1, 3)
+    assert calls == [8, 4]
 
 
 def test_simple_form_invariants_enforced():
