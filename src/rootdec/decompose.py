@@ -76,8 +76,8 @@ FAMILIES = (
 )
 
 DEFAULT_ENUMERATION_BOUND = 8
-# Measured in process on a 2-core machine: every family takes at most 0.06 s
-# at n_max = 64, while at 128 all but the two Catalan ones take 0.16-0.44 s.
+# Measured in process on a 2-core machine: every family takes at most 0.03 s
+# at n_max = 64, while at 128 all but the two Catalan ones take 0.07-0.22 s.
 DEFAULT_COUNT_LIMIT = 64
 
 T = TypeVar("T")
@@ -102,8 +102,6 @@ class Decomposition:
     parts: tuple[Perm, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"degree must be at least 1, got {self.n}")
         object.__setattr__(
             self, "parts", tuple(sorted(check_permutation(p) for p in self.parts))
         )
@@ -190,7 +188,7 @@ def verify_decomposition(
     Diagnostics name the lexicographically first overlapping root (and the
     first two parts covering it), else the first missing root; with
     ``allow_identity`` false an identity part is also rejected.  A part of
-    the wrong degree raises ValueError.
+    the wrong degree, or a degree below 1, raises ValueError.
 
     Each part is read as row bitmasks: bit ``j`` of row ``i`` is set when
     the part inverts ``(i+1, j+1)``.  One pass over the rows in position
@@ -204,6 +202,8 @@ def verify_decomposition(
     >>> verify_decomposition(3, [(2, 1, 3)]).detail
     'root (1, 3) not covered by any part'
     """
+    if n < 1:
+        raise ValueError(f"degree must be at least 1, got {n}")
     parts = [check_permutation(p) for p in perms]
     for part in parts:
         if len(part) != n:
@@ -494,92 +494,101 @@ def _convolve_at(f: list[int], g: list[int], k: int) -> int:
     return sum(f[i] * g[k - i] for i in range(k + 1))
 
 
+def _divide(y: list[int], f: list[int], sign: int) -> list[int]:
+    """Coefficients of ``y / (1 + sign * f)``, where ``f`` has no constant term.
+
+    >>> _divide([1, 0, 0, 0, 0], [0, 1, 0, 0, 0], -1)  # 1 / (1 - x)
+    [1, 1, 1, 1, 1]
+    >>> _divide([0, 1, 2, 6, 24], [0, 1, 2, 6, 24], 1)  # F / (1 + F)
+    [0, 1, 1, 3, 13]
+    """
+    q: list[int] = []
+    for k, y_k in enumerate(y):
+        q.append(y_k - sign * sum(f[j] * q[k - j] for j in range(1, k + 1)))
+    return q
+
+
+def _power_table(f: list[int]) -> list[list[int]]:
+    """Rows m = 0..N for f^m: row 1 is ``f`` itself, rows m >= 2 start at zero."""
+    size = len(f)
+    return [[1] + [0] * (size - 1), f] + [[0] * size for _ in range(2, size)]
+
+
+def _power_column(powers: list[list[int]], k: int) -> None:
+    """Fill ``powers[m][k]``, the x^k coefficient of f^m, for 2 <= m <= k.
+
+    f has no constant term, so only f_1..f_{k-1} are read: a recursion can
+    grow f and its powers together.
+    """
+    f = powers[1]
+    for m in range(2, k + 1):
+        powers[m][k] = sum(powers[m - 1][i] * f[k - i] for i in range(m - 1, k))
+
+
+def _extract(target: list[int], powers: list[list[int]], start: int) -> list[int]:
+    """The census c with ``target`` = the sum over m >= start of c_m f^m.
+
+    ``powers`` is the filled power table of some f = x + O(x^2), so f^m
+    starts at x^m with coefficient 1 and c_m is read off triangularly.  The
+    census must spend the target exactly; that is asserted.
+
+    >>> f = _divide([0, 1, 0, 0, 0], [0, 1, 0, 0, 0], -1)  # x / (1 - x)
+    >>> powers = _power_table(f)
+    >>> for k in range(2, 5):
+    ...     _power_column(powers, k)
+    >>> _extract(_divide(f, f, -1), powers, 1)  # f / (1 - f) = f + f^2 + ...
+    [0, 1, 1, 1, 1]
+    """
+    census = [0] * len(target)
+    residue = target[:]
+    for m in range(start, len(target)):
+        census[m] = residue[m]
+        if census[m]:
+            for k in range(m, len(target)):
+                residue[k] -= census[m] * powers[m][k]
+    assert not any(residue), "census extraction left a residue"
+    return census
+
+
 def _census_arrays(n_max: int) -> dict[str, list[int]]:
     """Shared integer arrays: factorials, indecomposables, simple censuses.
 
     ``s[m]`` (mirror pairs of simple permutations, degree m) and ``s_bc[m]``
     (symmetric simple embeddings of rank m, both pair members) are extracted
-    triangularly from their factorial-series identities; both extractions
-    must end with an exact zero residue, which is asserted.
+    from their factorial-series identities by :func:`_extract`.
     """
     fact = [0] + [math.factorial(k) for k in range(1, n_max + 1)]
+    fpow = _power_table(fact)
+    for k in range(2, n_max + 1):
+        _power_column(fpow, k)
 
-    # prefix-indecomposable permutation counts: (1 + F) * MI = F
-    mi = [0] * (n_max + 1)
-    for k in range(1, n_max + 1):
-        mi[k] = fact[k] - sum(fact[j] * mi[k - j] for j in range(1, k))
-    fmi = [0] + [_convolve_at(fact, mi, k) for k in range(1, n_max + 1)]
-
+    # prefix-indecomposable permutations: MI = F / (1 + F)
+    mi = _divide(fact, fact, 1)
     # MI^2 / (1 - MI): permutations whose canonical form stacks >= 2
     # indecomposable intervals corner to corner
-    mi2 = [_convolve_at(mi, mi, k) for k in range(n_max + 1)]
-    mid = [0] * (n_max + 1)
-    for k in range(n_max + 1):
-        mid[k] = mi2[k] + sum(mi[j] * mid[k - j] for j in range(1, k + 1))
+    mid = _divide([_convolve_at(mi, mi, k) for k in range(n_max + 1)], mi, -1)
 
     # every permutation is exactly one of: trivial, an interval stack in one
     # of two orientations, or an inflation of a simple skeleton of degree
     # >= 4; skeletons come in mirror pairs, hence the exact halving
-    waf = [0] * (n_max + 1)
-    for k in range(1, n_max + 1):
-        value = fact[k] - (1 if k == 1 else 0) - 2 * mid[k]
-        assert value % 2 == 0, "simple-skeleton census must be even"
-        waf[k] = value // 2
-
-    fpow = [[0] * (n_max + 1) for _ in range(n_max + 1)]
-    fpow[0][0] = 1
-    for m in range(1, n_max + 1):
-        for k in range(n_max + 1):
-            fpow[m][k] = _convolve_at(fpow[m - 1], fact, k)
-
-    s = [0] * (n_max + 1)
+    twice = [f - (k == 1) - 2 * d for k, (f, d) in enumerate(zip(fact, mid))]
+    assert all(v % 2 == 0 for v in twice), "simple-skeleton census must be even"
+    waf = [v // 2 for v in twice]
+    s = _extract(waf, fpow, 4)
     if n_max >= 2:
         s[2] = 1
-    residue = waf[:]
-    for m in range(4, n_max + 1):
-        s[m] = residue[m]
-        if s[m]:
-            for k in range(m, n_max + 1):
-                residue[k] -= s[m] * fpow[m][k]
-    assert all(c == 0 for c in residue), "simple-pair extraction left a residue"
 
     # symmetric world: hb[k] = 2^k k! symmetric embeddings at rank k; the
     # symmetric-simple census composed with F satisfies
-    #     (S of F) = 1 - 1/(1 + F(2x)) - 2 F/(1 + F)
+    #     (S of F) = 1 - 1/(1 + D) - 2 F/(1 + F) = D/(1 + D) - 2 MI
+    # with D = F(2x)
     hb = [1] + [(2**k) * fact[k] for k in range(1, n_max + 1)]
-    doubled = [0] + [(2**k) * fact[k] for k in range(1, n_max + 1)]
-    recip_doubled = [1] + [0] * n_max
-    for k in range(1, n_max + 1):
-        recip_doubled[k] = -sum(
-            doubled[j] * recip_doubled[k - j] for j in range(1, k + 1)
-        )
-    recip_f = [1] + [0] * n_max
-    for k in range(1, n_max + 1):
-        recip_f[k] = -sum(fact[j] * recip_f[k - j] for j in range(1, k + 1))
-    sb_of_f = [0] * (n_max + 1)
-    for k in range(1, n_max + 1):
-        two_f_over = 2 * sum(fact[i] * recip_f[k - i] for i in range(1, k + 1))
-        sb_of_f[k] = -recip_doubled[k] - two_f_over
-
-    s_bc = [0] * (n_max + 1)
-    residue = sb_of_f[:]
-    for m in range(2, n_max + 1):
-        s_bc[m] = residue[m]
-        if s_bc[m]:
-            for k in range(m, n_max + 1):
-                residue[k] -= s_bc[m] * fpow[m][k]
-    assert all(c == 0 for c in residue), "symmetric-simple extraction left a residue"
+    doubled = [0] + hb[1:]
+    sb_of_f = [d - 2 * m for d, m in zip(_divide(doubled, doubled, 1), mi)]
+    s_bc = _extract(sb_of_f, fpow, 2)
     assert n_max < 2 or (s_bc[1] == 0 and s_bc[2] == 2)
 
-    return {
-        "fact": fact,
-        "fmi": fmi,
-        "waf": waf,
-        "s": s,
-        "s_bc": s_bc,
-        "hb": hb,
-        "sb_of_f": sb_of_f,
-    }
+    return dict(fact=fact, mi=mi, waf=waf, s=s, s_bc=s_bc, hb=hb, sb_of_f=sb_of_f)
 
 
 def _irreducible_counts(
@@ -594,27 +603,18 @@ def _irreducible_counts(
     """
     s, s_bc = census["s"], census["s_bc"]
     a = [0] * (n_max + 1)
-    apow = [[0] * (n_max + 1) for _ in range(n_max + 1)]
-    apow[0][0] = 1
-    if n_max >= 1:
-        a[1] = 1
-        apow[1][1] = 1
+    apow = _power_table(a)
+    a[1] = 1
     for k in range(2, n_max + 1):
-        # [x^k] a^m for m >= 2 involves only a_j with j < k, all known
-        for m in range(2, k + 1):
-            apow[m][k] = sum(apow[m - 1][i] * a[k - i] for i in range(m - 1, k))
+        _power_column(apow, k)
         a[k] = sum(s[m] * apow[m][k] for m in range(2, k + 1))
-        apow[1][k] = a[k]
 
     layer = [0] * (n_max + 1)
     for k in range(1, n_max + 1):
         paired = sum(s_bc[m] * apow[m][k] for m in range(2, k + 1))
         assert paired % 2 == 0, "symmetric skeleton fillings must pair up"
         layer[k] = a[k] + paired // 2
-    b = [0] * (n_max + 1)
-    for k in range(1, n_max + 1):
-        b[k] = layer[k] + sum(layer[j] * b[k - j] for j in range(1, k))
-    return a, b
+    return a, _divide(layer, layer, -1)
 
 
 def _catalan_counts(n_max: int) -> tuple[list[int], list[int]]:
@@ -622,17 +622,35 @@ def _catalan_counts(n_max: int) -> tuple[list[int], list[int]]:
 
     ``cat_a[k]`` satisfies the classical convolution recursion; ``cat_b[k]``
     counts rank-k maximal decompositions via the part containing the end
-    root, which either spans the center or leaves a smaller symmetric core.
+    root, which either spans the center or leaves a smaller symmetric core:
+    cat_b[k] = cat_b[k-1] + 2 sum_{j <= k-2} cat_a[k-1-j] cat_b[j], that is
+    1 / (1 - h) with h = x + 2x(C(x) - 1).
     """
     cat_a = [1] + [0] * n_max
     for k in range(1, n_max + 1):
         cat_a[k] = sum(cat_a[t - 1] * cat_a[k - t] for t in range(1, k + 1))
-    cat_b = [1] + [0] * n_max
-    for k in range(1, n_max + 1):
-        cat_b[k] = cat_b[k - 1] + 2 * sum(
-            cat_a[k - j - 1] * cat_b[j] for j in range(k - 1)
-        )
-    return cat_a, cat_b
+    h = [0] + [2 * c for c in cat_a[:-1]]
+    h[1] = 1
+    return cat_a, _divide([1] + [0] * n_max, h, -1)
+
+
+def _triple_step(
+    split_top: int, half: int, skeleton: int, total: int
+) -> tuple[int, int, int]:
+    """One degree of the triple recursion: ordered, anchored, unordered.
+
+    The triples of nonidentity parts are half of ``split_top - 2 half + 1``
+    (two stacked blocks, in exact pairs) plus ``skeleton`` (over a simple
+    skeleton).  A triple with an identity part is fixed by its complementary
+    pair, one of ``total`` / 2: {id, id, w0} has 3 orderings, the others 6.
+    """
+    two_blocks = split_top - 2 * half + 1
+    assert two_blocks % 2 == 0, "two-block triples must pair up"
+    proper = two_blocks // 2 + skeleton
+    ordered = 6 * proper + 3 * total - 3
+    unordered = proper + total // 2
+    assert ordered == 6 * unordered - 3
+    return ordered, ordered - split_top, unordered
 
 
 def _triples_counts(
@@ -640,68 +658,43 @@ def _triples_counts(
 ) -> tuple[list[int], list[int]]:
     """Unordered-triple counts (identity parts allowed), types A and B/C.
 
-    Both passes run the same shape of recursion: ``ordered`` counts ordered
-    triples, ``anchored`` the subset whose distinguished part does not split
-    off a leading interval, ``proper`` the ordered triples of nonidentity
-    parts up to the 6 slot permutations.  Unordered counts follow exactly:
-    triples containing an identity part are classified by the complementary
-    pair, contributing the half-census terms.
+    Both passes run :func:`_triple_step` degree by degree: ``ordered``
+    counts ordered triples and ``anchored`` the subset whose distinguished
+    part does not split off a leading interval.
     """
-    fact, fmi, waf, s = census["fact"], census["fmi"], census["waf"], census["s"]
+    fact, mi, waf, s = census["fact"], census["mi"], census["waf"], census["s"]
     s_bc, hb, sb_of_f = census["s_bc"], census["hb"], census["sb_of_f"]
 
     ordered = [0] * (n_max + 1)
     anchored = [0] * (n_max + 1)
-    proper = [0] * (n_max + 1)
     triples_a = [0] * (n_max + 1)
-    opow = [[0] * (n_max + 1) for _ in range(n_max + 1)]
-    opow[0][0] = 1
-    if n_max >= 1:
-        ordered[1] = anchored[1] = triples_a[1] = 1
-        opow[1][1] = 1
+    opow = _power_table(ordered)
+    ordered[1] = anchored[1] = triples_a[1] = 1
     for k in range(2, n_max + 1):
-        for m in range(2, k + 1):
-            opow[m][k] = sum(opow[m - 1][i] * ordered[k - i] for i in range(m - 1, k))
-        split_top = sum(anchored[i] * ordered[k - i] for i in range(1, k))
-        case_two_blocks = split_top - 2 * fmi[k] + 1
-        assert case_two_blocks % 2 == 0
-        case_skeleton = sum(s[m] * opow[m][k] for m in range(4, k + 1)) - waf[k]
-        proper[k] = case_two_blocks // 2 + case_skeleton
-        ordered[k] = 6 * proper[k] + 3 * fact[k] - 3
-        anchored[k] = ordered[k] - sum(ordered[i] * anchored[k - i] for i in range(1, k))
-        triples_a[k] = proper[k] + fact[k] // 2
-        assert ordered[k] == 6 * triples_a[k] - 3
-        opow[1][k] = ordered[k]
+        _power_column(opow, k)
+        skeleton = sum(s[m] * opow[m][k] for m in range(4, k + 1)) - waf[k]
+        # the half-census F MI is F - MI, since MI = F / (1 + F)
+        ordered[k], anchored[k], triples_a[k] = _triple_step(
+            _convolve_at(anchored, ordered, k), fact[k] - mi[k], skeleton, fact[k]
+        )
 
-    # symmetric pass, mirroring the type-A pass around the fixed center
-    mib = [1] + [0] * n_max
-    for k in range(1, n_max + 1):
-        mib[k] = hb[k] - sum(fact[j] * mib[k - j] for j in range(1, k + 1))
-    fmib = [0] * (n_max + 1)
-    for k in range(1, n_max + 1):
-        fmib[k] = sum(fact[i] * mib[k - i] for i in range(1, k + 1))
-    skel_center = [_convolve_at(sb_of_f, hb, k) for k in range(n_max + 1)]
-
+    # symmetric pass, mirroring the type-A pass around the fixed center;
+    # its half-census is HB MI
+    skeleton_at = [
+        sum(s_bc[m] * opow[m][j] for m in range(2, j + 1)) for j in range(n_max + 1)
+    ]
     ordered_bc = [1] + [0] * n_max
     anchored_bc = [1] + [0] * n_max
     triples_bc = [0] * (n_max + 1)
     for k in range(1, n_max + 1):
-        skeleton_conv = 0
-        for j in range(2, k + 1):
-            at_j = sum(s_bc[m] * opow[m][j] for m in range(2, j + 1))
-            skeleton_conv += at_j * ordered_bc[k - j]
-        split_top = sum(ordered[i] * anchored_bc[k - i] for i in range(1, k + 1))
-        case_two_blocks = split_top - 2 * fmib[k] + 1
-        assert case_two_blocks % 2 == 0
-        case_skeleton = skeleton_conv - skel_center[k]
-        assert case_skeleton % 2 == 0
-        proper_bc = case_two_blocks // 2 + case_skeleton // 2
-        ordered_bc[k] = 6 * proper_bc + 3 * hb[k] - 3
-        anchored_bc[k] = ordered_bc[k] - sum(
-            ordered[i] * anchored_bc[k - i] for i in range(1, k + 1)
+        skeleton = _convolve_at(skeleton_at, ordered_bc, k) - _convolve_at(sb_of_f, hb, k)
+        assert skeleton % 2 == 0, "symmetric skeleton triples must pair up"
+        ordered_bc[k], anchored_bc[k], triples_bc[k] = _triple_step(
+            _convolve_at(ordered, anchored_bc, k),
+            _convolve_at(hb, mi, k),
+            skeleton // 2,
+            hb[k],
         )
-        triples_bc[k] = proper_bc + hb[k] // 2
-        assert ordered_bc[k] == 6 * triples_bc[k] - 3
     return triples_a, triples_bc
 
 

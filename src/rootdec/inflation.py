@@ -22,6 +22,7 @@ basis for structural recursion (irreducibility tests, exact counting).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -80,12 +81,11 @@ def inflate(skeleton: Iterable[int], parts: Sequence[Iterable[int]]) -> Perm:
     (1, 2, 3)
     """
     skeleton, parts = _checked_inflation(skeleton, parts)
-    sizes = [len(part) for part in parts]
-    images: list[int] = []
-    for a, part in enumerate(parts):
-        value_offset = sum(sizes[b] for b in range(len(parts)) if skeleton[b] < skeleton[a])
-        images.extend(value_offset + value for value in part)
-    return tuple(images)
+    # in skeleton-value order, each part's range starts where the previous one ends
+    offsets = [0] * len(parts)
+    for a, b in itertools.pairwise(sorted(range(len(parts)), key=skeleton.__getitem__)):
+        offsets[b] = offsets[a] + len(parts[a])
+    return tuple(offsets[a] + value for a, part in enumerate(parts) for value in part)
 
 
 def inflation_inversion_set(

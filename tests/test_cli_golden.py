@@ -4,10 +4,11 @@
 the exit code and the SHA-256 digests of stdout and stderr recorded for it:
 ``enumerate`` at n <= 6 in every mode (in every format up to n = 5),
 ``simple-form`` on seeded degree-40 permutations (simple, plus- and
-minus-decomposable, and inflations of a simple skeleton) and the error paths
-of ``verify``.  The whole list runs in under 2 s.  A refactor that
-keeps every output byte passes unchanged.  A change meant to alter an
-output records the file again and shows the new digests in its diff::
+minus-decomposable, and inflations of a simple skeleton), the error paths
+of ``verify``, and ``count`` for every family up to the bound n = 64.  The
+whole list runs in under 2 s.  A refactor that keeps every output byte
+passes unchanged.  A change meant to alter an output records the file again
+and shows the new digests in its diff::
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -22,6 +23,7 @@ import random
 from pathlib import Path
 
 from rootdec.cli import main
+from rootdec.decompose import FAMILIES
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
 
@@ -125,8 +127,19 @@ def _verify_calls() -> list[list[str]]:
     return calls
 
 
+def _count_calls() -> list[list[str]]:
+    calls = []
+    for family in FAMILIES:
+        calls.append(["count", "--family", family, "--max-n", "64", "--format", "csv"])
+        for fmt in ("text", "json"):
+            calls.append(["count", "--family", family, "--max-n", "12", "--format", fmt])
+        # below 1 and above the bound: one error line, exit 1
+        calls += [["count", "--family", family, "--max-n", n] for n in ("0", "65")]
+    return calls
+
+
 def record() -> list[dict[str, object]]:
-    calls = _enumerate_calls() + _simple_form_calls() + _verify_calls()
+    calls = _enumerate_calls() + _simple_form_calls() + _verify_calls() + _count_calls()
     return [_call(argv) for argv in calls]
 
 

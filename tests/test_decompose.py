@@ -230,6 +230,13 @@ def test_verify_rejects_degree_mismatch():
         verify_decomposition(3, [(2, 1, 3), (2, 1)])
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_verify_rejects_degree_below_one(n):
+    for parts in ([], [(2, 1)]):
+        with pytest.raises(ValueError, match=f"^degree must be at least 1, got {n}$"):
+            verify_decomposition(n, parts)
+
+
 def test_verify_degree_one_vacuous():
     assert verify_decomposition(1, [])
     assert verify_decomposition(1, [(1,), (1,)])
@@ -523,6 +530,15 @@ def test_count_structural_validation():
         count_structural("A_TRIPLES", 0)
     with pytest.raises(ValueError, match="n_max"):
         count_structural("A_TRIPLES", 65)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_count_prefixes_agree_with_the_bound(family):
+    # a table for n_max is the prefix of the table at the bound, down to
+    # n_max = 1 and 2, where the recursions start
+    full = count_structural(family, 64).counts
+    for n_max in range(1, 25):
+        assert count_structural(family, n_max).counts == full[:n_max]
 
 
 # ---------------------------------------------------------------------------
