@@ -5,8 +5,10 @@ the exit code and the SHA-256 digests of stdout and stderr recorded for it:
 ``enumerate`` at n <= 6 in every mode (in every format up to n = 5),
 ``simple-form`` on seeded degree-40 permutations (simple, plus- and
 minus-decomposable, and inflations of a simple skeleton), the error paths
-of ``verify``, and ``count`` for every family up to the bound n = 64.  The
-whole list runs in under 2 s.  A refactor that keeps every output byte
+of ``verify`` and ``enumerate``, ``count`` for every family up to the bound
+n = 64, every ``series`` at orders -1..201 in every format, ``rays`` on
+triples of degree 8, 2 and 1 and on malformed triples, and ``main([])``.
+The whole list runs in under 3 s.  A refactor that keeps every output byte
 passes unchanged.  A change meant to alter an output records the file again
 and shows the new digests in its diff::
 
@@ -22,7 +24,7 @@ import json
 import random
 from pathlib import Path
 
-from rootdec.cli import main
+from rootdec.cli import SERIES_BY_NAME, main
 from rootdec.decompose import FAMILIES
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
@@ -138,14 +140,54 @@ def _count_calls() -> list[list[str]]:
     return calls
 
 
+def _series_calls() -> list[list[str]]:
+    # -1 and 201 lie outside 0..200 (exit 2); 0 and 1 fall below some series'
+    # minimum order (exit 1)
+    calls = [
+        ["series", "--which", which, "--order", order, "--format", fmt]
+        for which in (*SERIES_BY_NAME, "CATALAN")
+        for order in ("-1", "0", "1", "2", "12", "201")
+        for fmt in ("text", "csv", "json")
+    ]
+    return calls + [["series", "--which", "SA"]]
+
+
+def _rays_calls() -> list[list[str]]:
+    triples = [
+        "5 3 4 8 1 2 6 7; 4 5 6 1 7 8 3 2; 1 3 2 4 6 5 7 8",
+        "2 1; 1 2; 1 2",
+        "1;1;1",
+    ]
+    calls = [
+        ["rays", "--perms", text, "--format", fmt]
+        for text in triples
+        for fmt in ("csv", "json")
+    ]
+    errors = ["2 1; 1 2", "x; 1 2; 2 1", "2 1; 1 2 3; 1 2", "2 1 3; 2 1 3; 1 2 3"]
+    return calls + [["rays", "--perms", text] for text in errors]
+
+
+def _usage_error_calls() -> list[list[str]]:
+    enumerate_errors = [
+        ["--n", "9"],
+        ["--n", "4", "--maximal", "--parts", "2"],
+        ["--n", "4", "--allow-identity"],
+        ["--n", "4", "--maximal", "--allow-identity"],
+        ["--n", "4", "--parts", "-1"],
+        ["--n", "0"],
+    ]
+    return [["enumerate", *argv] for argv in enumerate_errors] + [[]]
+
+
 def record() -> list[dict[str, object]]:
     calls = _enumerate_calls() + _simple_form_calls() + _verify_calls() + _count_calls()
+    calls += _series_calls() + _rays_calls() + _usage_error_calls()
     return [_call(argv) for argv in calls]
 
 
 def test_cli_outputs_match_the_recorded_digests():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert len(expected) > 300
+    assert len(expected) > 500
     mismatched = [
         entry["argv"] for entry in expected if _call(entry["argv"]) != entry
     ]
