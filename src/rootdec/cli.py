@@ -2,21 +2,28 @@
 
 Exit codes form a stable contract: 0 on success, 1 when the input parses but
 is domain-invalid (a non-decomposition, an out-of-bounds degree), 2 for
-parse and usage errors.  Machine formats (``--format csv`` / ``json``) print
-deterministically, so identical invocations give identical bytes.
+parse and usage errors.  Every refused call takes one path: a handler raises
+``_Exit`` with the code and the message (``_errors`` turns a library
+``ValueError`` into one), and :func:`main` alone prints the single
+``error: ...`` line to stderr.  ``verify``, ``count``, ``enumerate`` and
+``series`` print through one text/csv/json emitter.  Machine formats
+(``--format csv`` / ``json``) print deterministically, so identical
+invocations give identical bytes.
 
 A ``--config FILE`` of ``key = value`` lines may set ``brute_force_bound``
-(degree ceiling for exhaustive enumeration, default 8) and ``series_order``
-(default order for ``series``, default 40, at most 200 like ``--order``).
+(degree ceiling for exhaustive enumeration, 1..8, default 8; a larger value
+is refused when the file is read, because the enumeration scans all n!
+permutations) and ``series_order`` (default order for
+``series``, default 40, at most 200 like ``--order``).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .bcgroups import (
@@ -77,6 +84,13 @@ class RunConfig:
         for name in CONFIG_KEYS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        # enumeration scans all n! permutations: `--parts 2` takes 1.2 s at
+        # degree 8 and 13.5 s at degree 9 in process on 2 cores, hours at 12
+        if self.brute_force_bound > DEFAULT_ENUMERATION_BOUND:
+            raise ValueError(
+                f"brute_force_bound must be at most {DEFAULT_ENUMERATION_BOUND}, "
+                f"got {self.brute_force_bound}"
+            )
 
 
 def load_config_file(path: str) -> dict[str, int]:
@@ -117,13 +131,6 @@ def _split_segments(text: str) -> list[str]:
     if not segments or any(not piece for piece in segments):
         raise ValueError(f"expected ';'-separated permutations, got {text!r}")
     return segments
-
-
-def _csv_lines(rows: list[list[object]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    return buffer.getvalue()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,68 +209,65 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
+# the error path and the output emitter
+
+
+class _Exit(Exception):
+    """A refused call: :func:`main` prints ``error: <message>`` and returns ``code``."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+@contextmanager
+def _errors(code: int):
+    """Report a ``ValueError`` raised in the block as an :class:`_Exit` with ``code``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _Exit(code, str(exc)) from exc
+
+
+def _emit(fmt: str, payload: dict[str, object], rows, lines) -> None:
+    """Print ``payload`` as JSON, ``rows`` as CSV, or ``lines`` as text."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2))
+    elif fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    else:
+        for line in lines:
+            print(line)
+
+
+def _emit_indexed(fmt: str, label: str, column: str, name: str, start: int, values) -> None:
+    """One value per index n = start, start + 1, ...: the ``count`` and ``series`` tables."""
+    indexed = [[n, value] for n, value in enumerate(values, start=start)]
+    _emit(
+        fmt,
+        {label: name, f"{column}s": indexed},
+        [[label, "n", column], *([name, n, value] for n, value in indexed)],
+        (f"{name} n={n}: {value}" for n, value in indexed),
+    )
+
+
+# ---------------------------------------------------------------------------
 # verify
 
 
-def _part_report_A(index: int, part: tuple[int, ...]) -> dict[str, object]:
+def _part_report(index: int, text: str, inversions: int, linear) -> dict[str, object]:
+    """One part's row; ``linear`` is the part itself, or a B/C part's symmetric embedding."""
     return {
         "index": index,
-        "permutation": format_permutation(part),
-        "inversions": len(inversion_set(part).roots),
-        "irreducible": is_irreducible_structural(part),
-        "simple_form": str(simple_form(part)) if len(part) >= 2 else "-",
+        "permutation": text,
+        "inversions": inversions,
+        "irreducible": is_irreducible_structural(linear),
+        "simple_form": str(simple_form(linear)) if len(linear) >= 2 else "-",
     }
-
-
-def _part_report_BC(index: int, part, family: str) -> dict[str, object]:
-    # irreducibility and the form are judged on the symmetric embedding
-    embedded = embed_B(part) if family == TYPE_B else embed_C(part)
-    return {
-        "index": index,
-        "permutation": str(part),
-        "inversions": len(bc_inversion_set(part, family)),
-        "irreducible": is_irreducible_structural(embedded),
-        "simple_form": str(simple_form(embedded)),
-    }
-
-
-def _print_verify_report(
-    fmt: str, kind: str, valid: bool, detail: str, rows: list[dict[str, object]]
-) -> None:
-    if fmt == "json":
-        print(
-            json.dumps(
-                {"type": kind, "valid": valid, "detail": detail, "parts": rows},
-                indent=2,
-            )
-        )
-    elif fmt == "csv":
-        table = [["part", "permutation", "inversions", "irreducible", "simple_form"]]
-        table.extend(
-            [
-                row["index"],
-                row["permutation"],
-                row["inversions"],
-                "yes" if row["irreducible"] else "no",
-                row["simple_form"],
-            ]
-            for row in rows
-        )
-        table.append(["status", "valid" if valid else "invalid", detail, "", ""])
-        sys.stdout.write(_csv_lines(table))
-    else:
-        for row in rows:
-            flag = "yes" if row["irreducible"] else "no"
-            print(
-                f"part {row['index']}: {row['permutation']} | "
-                f"inversions {row['inversions']} | irreducible {flag} | "
-                f"simple form {row['simple_form']}"
-            )
-        print(detail if valid else f"invalid: {detail}")
 
 
 def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
-    try:
+    with _errors(2):
         segments = _split_segments(args.perms)
         if args.type == "A":
             parts = [parse_permutation(piece) for piece in segments]
@@ -272,24 +276,40 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
             parts = [parse_signed_permutation(piece) for piece in segments]
             degrees = {part.n for part in parts}
         if len(degrees) != 1:
-            raise ValueError(
-                f"parts must share one degree, got {sorted(degrees)}"
-            )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            raise ValueError(f"parts must share one degree, got {sorted(degrees)}")
 
     allow_identity = not args.strict_no_identity
     if args.type == "A":
         result = verify_decomposition(len(parts[0]), parts, allow_identity)
-        rows = [_part_report_A(k, part) for k, part in enumerate(parts, start=1)]
-    else:
-        result = verify_bc_decomposition(args.type, parts, allow_identity)
         rows = [
-            _part_report_BC(k, part, args.type)
+            _part_report(k, format_permutation(part), len(inversion_set(part).roots), part)
             for k, part in enumerate(parts, start=1)
         ]
-    _print_verify_report(args.format, args.type, result.ok, result.detail, rows)
+    else:
+        result = verify_bc_decomposition(args.type, parts, allow_identity)
+        embed = embed_B if args.type == TYPE_B else embed_C
+        rows = [
+            _part_report(k, str(part), len(bc_inversion_set(part, args.type)), embed(part))
+            for k, part in enumerate(parts, start=1)
+        ]
+    table = [["part", "permutation", "inversions", "irreducible", "simple_form"]]
+    lines = []
+    for row in rows:
+        index, text, inversions, irreducible, form = row.values()
+        flag = "yes" if irreducible else "no"
+        table.append([index, text, inversions, flag, form])
+        lines.append(
+            f"part {index}: {text} | inversions {inversions} | "
+            f"irreducible {flag} | simple form {form}"
+        )
+    table.append(["status", "valid" if result.ok else "invalid", result.detail, "", ""])
+    lines.append(result.detail if result.ok else f"invalid: {result.detail}")
+    _emit(
+        args.format,
+        {"type": args.type, "valid": result.ok, "detail": result.detail, "parts": rows},
+        table,
+        lines,
+    )
     return 0 if result.ok else 1
 
 
@@ -298,26 +318,9 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _cmd_count(args: argparse.Namespace, config: RunConfig) -> int:
-    try:
+    with _errors(1):
         table = count_structural(args.family, args.max_n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "family": table.family,
-                    "counts": [[n, c] for n, c in enumerate(table.counts, start=1)],
-                },
-                indent=2,
-            )
-        )
-    elif args.format == "csv":
-        sys.stdout.write(table.to_csv())
-    else:
-        for n, c in enumerate(table.counts, start=1):
-            print(f"{table.family} n={n}: {c}")
+    _emit_indexed(args.format, "family", "count", table.family, 1, table.counts)
     return 0
 
 
@@ -327,25 +330,16 @@ def _cmd_count(args: argparse.Namespace, config: RunConfig) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
     if args.n < 1:
-        print("error: --n must be positive", file=sys.stderr)
-        return 2
+        raise _Exit(2, "--n must be positive")
     if args.maximal and args.parts is not None:
-        print("error: --maximal fixes the part count; drop --parts", file=sys.stderr)
-        return 2
+        raise _Exit(2, "--maximal fixes the part count; drop --parts")
     if args.allow_identity and (args.parts is None or args.maximal):
-        print(
-            "error: --allow-identity pads up to a fixed --parts count",
-            file=sys.stderr,
-        )
-        return 2
+        raise _Exit(2, "--allow-identity pads up to a fixed --parts count")
     if args.n > config.brute_force_bound:
-        print(
-            f"error: degree {args.n} exceeds the brute-force bound "
-            f"{config.brute_force_bound}",
-            file=sys.stderr,
+        raise _Exit(
+            1, f"degree {args.n} exceeds the brute-force bound {config.brute_force_bound}"
         )
-        return 1
-    try:
+    with _errors(2):
         found = [
             str(dec)
             for dec in enumerate_decompositions(
@@ -357,25 +351,12 @@ def _cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
                 bound=config.brute_force_bound,
             )
         ]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"n": args.n, "count": len(found), "decompositions": found},
-                indent=2,
-            )
-        )
-    elif args.format == "csv":
-        rows: list[list[object]] = [["index", "decomposition"]]
-        rows.extend([k, line] for k, line in enumerate(found, start=1))
-        rows.append(["count", len(found)])
-        sys.stdout.write(_csv_lines(rows))
-    else:
-        for line in found:
-            print(line)
-        print(f"count: {len(found)}")
+    _emit(
+        args.format,
+        {"n": args.n, "count": len(found), "decompositions": found},
+        [["index", "decomposition"], *enumerate(found, start=1), ["count", len(found)]],
+        [*found, f"count: {len(found)}"],
+    )
     return 0
 
 
@@ -384,27 +365,17 @@ def _cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _cmd_rays(args: argparse.Namespace, config: RunConfig) -> int:
-    try:
+    with _errors(2):
         segments = _split_segments(args.perms)
         if len(segments) != 3:
             raise ValueError(f"expected exactly 3 permutations, got {len(segments)}")
         triple = [parse_permutation(piece) for piece in segments]
         if len({len(part) for part in triple}) != 1:
             raise ValueError("the three permutations must share one degree")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     from .lrcone import rays, rays_json
 
-    try:
-        output = (
-            rays_json(*triple)
-            if args.format == "json"
-            else rays(*triple).to_csv()
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with _errors(1):
+        output = rays_json(*triple) if args.format == "json" else rays(*triple).to_csv()
     sys.stdout.write(output)
     return 0
 
@@ -414,29 +385,18 @@ def _cmd_rays(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _cmd_simple_form(args: argparse.Namespace, config: RunConfig) -> int:
-    try:
+    with _errors(2):
         perm = parse_permutation(args.perm)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+    with _errors(1):
         form = simple_form(perm)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "permutation": format_permutation(perm),
-                    "skeleton_kind": form.skeleton_kind,
-                    "expression": str(form),
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(form)
+    expression = str(form)
+    payload = {
+        "permutation": format_permutation(perm),
+        "skeleton_kind": form.skeleton_kind,
+        "expression": expression,
+    }
+    # csv prints the bare expression, as text does: one unquoted field
+    _emit("json" if args.format == "json" else "text", payload, [], [expression])
     return 0
 
 
@@ -447,36 +407,15 @@ def _cmd_simple_form(args: argparse.Namespace, config: RunConfig) -> int:
 def _cmd_series(args: argparse.Namespace, config: RunConfig) -> int:
     order = args.order if args.order is not None else config.series_order
     if order < 0:
-        print("error: --order must be nonnegative", file=sys.stderr)
-        return 2
+        raise _Exit(2, "--order must be nonnegative")
     if order > MAX_SERIES_ORDER:
-        print(f"error: --order must be at most {MAX_SERIES_ORDER}", file=sys.stderr)
-        return 2
+        raise _Exit(2, f"--order must be at most {MAX_SERIES_ORDER}")
     if args.which == "CATALAN":
         values = [catalan(k) for k in range(order + 1)]
     else:
-        try:
-            values = list(SERIES_BY_NAME[args.which](order).coeffs)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "series": args.which,
-                    "coefficients": [[n, c] for n, c in enumerate(values)],
-                },
-                indent=2,
-            )
-        )
-    elif args.format == "csv":
-        lines = ["series,n,coefficient"]
-        lines.extend(f"{args.which},{n},{c}" for n, c in enumerate(values))
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        for n, c in enumerate(values):
-            print(f"{args.which} n={n}: {c}")
+        with _errors(1):
+            values = SERIES_BY_NAME[args.which](order).coeffs
+    _emit_indexed(args.format, "series", "coefficient", args.which, 0, values)
     return 0
 
 
@@ -494,19 +433,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(**load_config_file(args.config)) if args.config else RunConfig()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.seed_check:
-        from .acceptance import run_acceptance
+        with _errors(2):
+            config = RunConfig(**load_config_file(args.config)) if args.config else RunConfig()
+        if args.seed_check:
+            from .acceptance import run_acceptance
 
-        return run_acceptance()
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        print("error: a command is required", file=sys.stderr)
-        return 2
-    return _HANDLERS[args.command](args, config)
+            return run_acceptance()
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            raise _Exit(2, "a command is required")
+        return _HANDLERS[args.command](args, config)
+    except _Exit as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

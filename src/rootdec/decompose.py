@@ -153,11 +153,6 @@ class CountTable:
     def __getitem__(self, n: int) -> int:
         return self.value(n)
 
-    def to_csv(self) -> str:
-        lines = ["family,n,count"]
-        lines.extend(f"{self.family},{n},{c}" for n, c in enumerate(self.counts, start=1))
-        return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # verification and merging

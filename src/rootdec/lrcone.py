@@ -138,10 +138,13 @@ class RayMatrix:
                     f"ray {row_index + 1} has {len(row)} coordinates, "
                     f"expected {3 * (n - 1)}"
                 )
-            if any(entry < 0 for entry in row):
+            if min(row) < 0:
                 raise ValueError(f"ray {row_index + 1} has a negative coordinate")
-            unit = [row[c] for c in free_columns]
-            if unit != [int(k == row_index) for k in range(len(self.free))]:
+            # nonnegative entries: a 1 in the row's own column and a sum of 1
+            if (
+                row[free_columns[row_index]] != 1
+                or sum(map(row.__getitem__, free_columns)) != 1
+            ):
                 raise ValueError(
                     f"ray {row_index + 1} is not a unit vector on the free columns"
                 )

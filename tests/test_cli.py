@@ -46,6 +46,9 @@ def test_run_config_defaults_and_validation():
         RunConfig(brute_force_bound=0)
     with pytest.raises(ValueError, match="positive"):
         RunConfig(series_order=0)
+    assert RunConfig(brute_force_bound=1).brute_force_bound == 1
+    with pytest.raises(ValueError, match="at most 8, got 9"):
+        RunConfig(brute_force_bound=9)
 
 
 def test_load_config_file(tmp_path):
@@ -80,6 +83,16 @@ def test_config_file_lowers_the_enumeration_bound(capsys, tmp_path):
     )
     assert code == 1
     assert "exceeds the brute-force bound 6" in err
+
+
+@pytest.mark.parametrize("bound", ["9", "99999999999999999999"])
+def test_config_file_refuses_an_enumeration_bound_above_8(capsys, tmp_path, bound):
+    # degree 12 with two parts would scan 479M permutations
+    path = tmp_path / "rootdec.conf"
+    path.write_text(f"brute_force_bound = {bound}\n")
+    assert run(
+        capsys, "--config", str(path), "enumerate", "--n", "12", "--parts", "2"
+    ) == (2, "", f"error: brute_force_bound must be at most 8, got {bound}\n")
 
 
 def test_config_file_sets_default_series_order(capsys, tmp_path):
@@ -203,6 +216,16 @@ def test_count_simple_pairs(capsys):
     payload = json.loads(out)
     assert payload["family"] == "SIMPLE_PAIRS_A"
     assert payload["counts"] == [[1, 0], [2, 1], [3, 0], [4, 1], [5, 3]]
+
+
+def test_count_csv_layout(capsys):
+    assert run(
+        capsys, "count", "--family", "A_IRREDUCIBLE", "--max-n", "3", "--format", "csv"
+    ) == (
+        0,
+        "family,n,count\nA_IRREDUCIBLE,1,1\nA_IRREDUCIBLE,2,1\nA_IRREDUCIBLE,3,2\n",
+        "",
+    )
 
 
 def test_count_bound_exceeded(capsys):
@@ -523,3 +546,35 @@ def test_module_execution_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[-1] == "F n=4: 24"
+
+
+@pytest.mark.parametrize(
+    "argv, code, last_line",
+    [
+        (["enumerate", "--n", "9"], 1, "error: degree 9 exceeds the brute-force bound 8"),
+        (
+            ["--config", "{config}", "enumerate", "--n", "12", "--parts", "2"],
+            2,
+            "error: brute_force_bound must be at most 8, got 99999999999999999999",
+        ),
+        (
+            ["count", "--family", "NO_SUCH", "--max-n", "3"],
+            2,
+            "rootdec count: error: argument --family: invalid choice",
+        ),
+    ],
+)
+def test_module_execution_prints_one_error_line(tmp_path, argv, code, last_line):
+    # exit 0 is test_module_execution_entry_point's call
+    config = tmp_path / "rootdec.conf"
+    config.write_text("brute_force_bound = 99999999999999999999\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "rootdec.cli", *(a.format(config=config) for a in argv)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (code, "")
+    assert result.stderr.count("error:") == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1].startswith(last_line)

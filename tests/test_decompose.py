@@ -147,13 +147,6 @@ def test_count_table_rejects_bad_inputs():
         CountTable("A_MAXIMAL", (1, -1))
 
 
-def test_count_table_csv_layout():
-    table = count_structural("A_IRREDUCIBLE", 3)
-    assert table.to_csv() == (
-        "family,n,count\nA_IRREDUCIBLE,1,1\nA_IRREDUCIBLE,2,1\nA_IRREDUCIBLE,3,2\n"
-    )
-
-
 # ---------------------------------------------------------------------------
 # verification and merging
 
