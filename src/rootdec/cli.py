@@ -23,7 +23,6 @@ import argparse
 import csv
 import json
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .bcgroups import (
@@ -163,12 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict-no-identity", action="store_true",
         help="reject decompositions containing an identity part",
     )
-    verify.add_argument("--format", choices=OUTPUT_FORMATS, default="text")
 
     count = commands.add_parser("count", help="exact counts for one family")
     count.add_argument("--family", required=True, choices=FAMILIES)
     count.add_argument("--max-n", required=True, type=int, dest="max_n")
-    count.add_argument("--format", choices=OUTPUT_FORMATS, default="text")
 
     enum_cmd = commands.add_parser(
         "enumerate", help="list decompositions of one small degree"
@@ -185,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--allow-identity", action="store_true",
         help="pad with identity parts up to the fixed part count",
     )
-    enum_cmd.add_argument("--format", choices=OUTPUT_FORMATS, default="text")
 
     rays_cmd = commands.add_parser(
         "rays", help="generating rays of the face selected by a triple"
@@ -197,14 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
         "simple-form", help="canonical inflation expression of one permutation"
     )
     form.add_argument("--perm", required=True)
-    form.add_argument("--format", choices=OUTPUT_FORMATS, default="text")
 
     series = commands.add_parser("series", help="counting-series coefficients")
     series.add_argument(
         "--which", required=True, choices=(*SERIES_BY_NAME, "CATALAN")
     )
     series.add_argument("--order", type=int)
-    series.add_argument("--format", choices=OUTPUT_FORMATS, default="text")
+    for command in (verify, count, enum_cmd, form, series):
+        command.add_argument("--format", choices=OUTPUT_FORMATS, default="text")
     return parser
 
 
@@ -213,20 +209,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _Exit(Exception):
-    """A refused call: :func:`main` prints ``error: <message>`` and returns ``code``."""
+    """``_Exit(code, message)``: :func:`main` prints ``error: <message>`` and returns ``code``."""
 
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
+
+class _errors:
+    """Report a ``ValueError`` raised in the block as an :class:`_Exit` with ``code``.
+
+    A class like ``contextlib.suppress``: perfbench's tracer expects no
+    ``__wrapped__`` function, which ``@contextmanager`` would leave here.
+    """
+
+    def __init__(self, code: int) -> None:
         self.code = code
 
+    def __enter__(self) -> None:
+        pass
 
-@contextmanager
-def _errors(code: int):
-    """Report a ``ValueError`` raised in the block as an :class:`_Exit` with ``code``."""
-    try:
-        yield
-    except ValueError as exc:
-        raise _Exit(code, str(exc)) from exc
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, ValueError):
+            raise _Exit(self.code, str(exc)) from exc
 
 
 def _emit(fmt: str, payload: dict[str, object], rows, lines) -> None:
@@ -255,14 +256,14 @@ def _emit_indexed(fmt: str, label: str, column: str, name: str, start: int, valu
 # verify
 
 
-def _part_report(index: int, text: str, inversions: int, linear) -> dict[str, object]:
-    """One part's row; ``linear`` is the part itself, or a B/C part's symmetric embedding."""
+def _part_report(index: int, text: str, inversions: int, sigma) -> dict[str, object]:
+    """One part's row, judged on ``sigma``: the part, or a B/C part's symmetric embedding."""
     return {
         "index": index,
         "permutation": text,
         "inversions": inversions,
-        "irreducible": is_irreducible_structural(linear),
-        "simple_form": str(simple_form(linear)) if len(linear) >= 2 else "-",
+        "irreducible": is_irreducible_structural(sigma),
+        "simple_form": str(simple_form(sigma)) if len(sigma) >= 2 else "-",
     }
 
 
@@ -444,8 +445,9 @@ def main(argv: list[str] | None = None) -> int:
             raise _Exit(2, "a command is required")
         return _HANDLERS[args.command](args, config)
     except _Exit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        code, message = exc.args
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

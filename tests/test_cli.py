@@ -549,7 +549,7 @@ def test_module_execution_entry_point():
 
 
 @pytest.mark.parametrize(
-    "argv, code, last_line",
+    "argv, code, line_start",
     [
         (["enumerate", "--n", "9"], 1, "error: degree 9 exceeds the brute-force bound 8"),
         (
@@ -564,7 +564,7 @@ def test_module_execution_entry_point():
         ),
     ],
 )
-def test_module_execution_prints_one_error_line(tmp_path, argv, code, last_line):
+def test_module_execution_prints_one_error_line(tmp_path, argv, code, line_start):
     # exit 0 is test_module_execution_entry_point's call
     config = tmp_path / "rootdec.conf"
     config.write_text("brute_force_bound = 99999999999999999999\n")
@@ -577,4 +577,4 @@ def test_module_execution_prints_one_error_line(tmp_path, argv, code, last_line)
     assert (result.returncode, result.stdout) == (code, "")
     assert result.stderr.count("error:") == 1
     assert "Traceback" not in result.stderr
-    assert result.stderr.splitlines()[-1].startswith(last_line)
+    assert result.stderr.splitlines()[-1].startswith(line_start)
