@@ -431,10 +431,10 @@ def criterion_7() -> Check:
     for n in range(4, 8):
         for sigma in itertools.permutations(range(1, n + 1)):
             rhs = is_atomic(sigma) and is_irreducible_structural(sigma)
-            if is_simple(sigma) != rhs:
+            simple = is_simple(sigma)
+            if simple != rhs:
                 equivalence_failures.append(sigma)
-            if is_simple(sigma) != (rhs and sigma[0] != 1 and sigma[-1] != n):
-                repaired_failures += 1
+            repaired_failures += simple != (rhs and sigma[0] != 1 and sigma[-1] != n)
 
     # inflation inversion identity on seeded random expressions: the
     # inversion set assembled from skeleton and parts equals the inversion

@@ -7,9 +7,9 @@ every question about B/C inversion sets into a question about ordinary
 inversion sets, answered by :mod:`rootdec.permcore` and
 :mod:`rootdec.decompose`.  This module provides the embeddings, the
 projection from ambient positive roots onto B/C positive roots (with its
-fibers), B/C inversion sets, decomposition verification, and the
-symmetric inflation construction.  The B/C counting families live in
-:func:`rootdec.decompose.count_structural`.
+fibers), B/C inversion sets, decomposition verification (type A's row scan
+run on the embeddings), and the symmetric inflation construction.  The B/C
+counting families live in :func:`rootdec.decompose.count_structural`.
 
 The primed-index convention lives in one helper: the partner of position i
 in ambient degree d is d+1-i.  Everything downstream uses it.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .decompose import VerifyResult
+from .decompose import VerifyResult, _cover_fault
 from .inflation import inflate, is_simple
 from .permcore import (
     Perm,
@@ -305,6 +305,23 @@ def from_symmetric_C(p: Perm) -> SignedPermutation:
 # the root projection and its fibers
 
 
+def _project_root(family: str, n: int, root: Root) -> BCRoot:
+    degree = 2 * n + 1 if family == TYPE_B else 2 * n
+    i, j = root
+    if not 1 <= i < j <= degree:
+        raise ValueError(f"root {root} invalid for degree {degree}")
+    if j <= n:
+        return BCRoot(n, family, DIFF, i, j)
+    if i > degree - n:
+        return BCRoot(n, family, DIFF, mirror_index(degree, j), mirror_index(degree, i))
+    if i > n:  # type B's center
+        return BCRoot(n, family, SHORT, mirror_index(degree, j))
+    k = mirror_index(degree, j)
+    if family == TYPE_B and k in (i, n + 1):  # i' or the center
+        return BCRoot(n, family, SHORT, i)
+    return BCRoot(n, family, SUM, min(i, k), max(i, k))
+
+
 def project_root_B(n: int, root: Root) -> BCRoot:
     """Project an ambient positive root of degree 2n+1 onto Δ⁺ of B_n.
 
@@ -313,21 +330,7 @@ def project_root_B(n: int, root: Root) -> BCRoot:
     >>> str(project_root_B(2, (1, 5)))
     'e1'
     """
-    degree = 2 * n + 1
-    i, j = root
-    if not 1 <= i < j <= degree:
-        raise ValueError(f"root {root} invalid for degree {degree}")
-    center = n + 1
-    if j <= n:
-        return BCRoot(n, TYPE_B, DIFF, i, j)
-    if i > center:
-        return BCRoot(n, TYPE_B, DIFF, mirror_index(degree, j), mirror_index(degree, i))
-    if i == center:
-        return BCRoot(n, TYPE_B, SHORT, mirror_index(degree, j))
-    if j == center or j == mirror_index(degree, i):
-        return BCRoot(n, TYPE_B, SHORT, i)
-    k = mirror_index(degree, j)
-    return BCRoot(n, TYPE_B, SUM, min(i, k), max(i, k))
+    return _project_root(TYPE_B, n, root)
 
 
 def project_root_C(n: int, root: Root) -> BCRoot:
@@ -336,18 +339,7 @@ def project_root_C(n: int, root: Root) -> BCRoot:
     >>> str(project_root_C(2, (2, 3)))
     '2e2'
     """
-    degree = 2 * n
-    i, j = root
-    if not 1 <= i < j <= degree:
-        raise ValueError(f"root {root} invalid for degree {degree}")
-    if j <= n:
-        return BCRoot(n, TYPE_C, DIFF, i, j)
-    if i > n:
-        return BCRoot(n, TYPE_C, DIFF, mirror_index(degree, j), mirror_index(degree, i))
-    if j == mirror_index(degree, i):
-        return BCRoot(n, TYPE_C, SUM, i, i)
-    k = mirror_index(degree, j)
-    return BCRoot(n, TYPE_C, SUM, min(i, k), max(i, k))
+    return _project_root(TYPE_C, n, root)
 
 
 def bc_positive_roots(family: str, n: int) -> tuple[BCRoot, ...]:
@@ -374,10 +366,9 @@ def bc_positive_roots(family: str, n: int) -> tuple[BCRoot, ...]:
 
 @lru_cache(maxsize=None)
 def _fiber_map(family: str, n: int) -> dict[BCRoot, tuple[Root, ...]]:
-    project = project_root_B if family == TYPE_B else project_root_C
     grouped: dict[BCRoot, list[Root]] = {}
     for root in all_roots(ambient_degree(family, n)):
-        grouped.setdefault(project(n, root), []).append(root)
+        grouped.setdefault(_project_root(family, n, root), []).append(root)
     fibers = {gamma: tuple(roots) for gamma, roots in grouped.items()}
     assert set(fibers) == set(bc_positive_roots(family, n))
     for gamma, roots in fibers.items():
@@ -420,10 +411,8 @@ def bc_inversion_set(sigma: SignedPermutation, family: str) -> frozenset[BCRoot]
     >>> sorted(str(r) for r in bc_inversion_set(SignedPermutation((-1, 2)), "C"))
     ['2e1', 'e1+e2', 'e1-e2']
     """
-    _check_family(family)
-    project = project_root_B if family == TYPE_B else project_root_C
     embedded = _embed(sigma, family)
-    return frozenset(project(sigma.n, root) for root in inversion_set(embedded))
+    return frozenset(_project_root(family, sigma.n, root) for root in inversion_set(embedded))
 
 
 def verify_bc_decomposition(
@@ -433,8 +422,9 @@ def verify_bc_decomposition(
 
     Diagnostics name the first root covered twice, else the first root not
     covered, in :func:`bc_positive_roots` order; with ``allow_identity``
-    false an identity part is also rejected.  Ranks must agree.  By fiber
-    consistency the verdict equals that of verifying the embeddings.
+    false an identity part is also rejected.  Ranks must agree.  The row scan
+    of type A runs on the embeddings, which invert whole fibers, testing one
+    root per fiber: (i, j) for eᵢ−eⱼ, (i, j′) for eᵢ+eⱼ, (i, i′) for eᵢ or 2eᵢ.
 
     >>> verify_bc_decomposition("B", [SignedPermutation((-1,))]).detail
     'valid decomposition of the rank-1 type-B positive system'
@@ -449,23 +439,18 @@ def verify_bc_decomposition(
     if len(ranks) > 1:
         raise ValueError(f"rank mismatch: {sorted(ranks)}")
     (n,) = ranks
-    covering: dict[BCRoot, list[int]] = {}
-    for k, sigma in enumerate(sigmas, start=1):
-        for gamma in bc_inversion_set(sigma, family):
-            covering.setdefault(gamma, []).append(k)
-    roots = bc_positive_roots(family, n)
-    for gamma in roots:
-        if len(covering.get(gamma, ())) > 1:
-            a, b = covering[gamma][:2]
-            return VerifyResult(False, f"root {gamma} covered by parts {a} and {b}")
-    for gamma in roots:
-        if gamma not in covering:
-            return VerifyResult(False, f"root {gamma} not covered by any part")
-    if not allow_identity:
-        for k, sigma in enumerate(sigmas, start=1):
-            if sigma == bc_identity(n):
-                return VerifyResult(False, f"part {k} is the identity")
-    return VerifyResult(True, f"valid decomposition of the rank-{n} type-{family} positive system")
+    degree = ambient_degree(family, n)
+
+    def first_in_root_order(faults: list[int]) -> tuple[BCRoot, int, int]:
+        for gamma in bc_positive_roots(family, n):
+            j = gamma.j if gamma.kind == DIFF else mirror_index(degree, gamma.j or gamma.i)
+            if faults[gamma.i - 1] >> (j - 1) & 1:
+                return gamma, gamma.i - 1, j - 1
+
+    embeddings = [_embed(sigma, family) for sigma in sigmas]
+    fault = _cover_fault(embeddings, degree, allow_identity, first_in_root_order)
+    valid = f"valid decomposition of the rank-{n} type-{family} positive system"
+    return VerifyResult(not fault, fault or valid)
 
 
 def bc_is_simple(sigma: SignedPermutation, family: str) -> bool:

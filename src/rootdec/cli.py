@@ -257,7 +257,7 @@ def _emit_indexed(fmt: str, label: str, column: str, name: str, start: int, valu
 
 
 def _part_report(index: int, text: str, inversions: int, sigma) -> dict[str, object]:
-    """One part's row, judged on ``sigma``: the part, or a B/C part's symmetric embedding."""
+    """One part's row; the last two columns treat ``sigma`` (a B/C part's embedding) as type A."""
     return {
         "index": index,
         "permutation": text,

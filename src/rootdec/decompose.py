@@ -175,6 +175,44 @@ def _inversion_rows(sigma: Perm) -> list[int]:
     return rows
 
 
+def _first_flagged(faults: list[int]) -> tuple[Root, int, int]:
+    """The lexicographically first flagged root: the lowest bit of the first nonzero row."""
+    i = next(i for i, row in enumerate(faults) if row)
+    j = (faults[i] & -faults[i]).bit_length() - 1
+    return (i + 1, j + 1), i, j
+
+
+def _cover_fault(
+    parts: list[Perm], degree: int, allow_identity: bool, first=_first_flagged
+) -> str | None:
+    """Why ``parts`` fail to partition the degree-``degree`` system; None if they do.
+
+    One pass over the parts' :func:`_inversion_rows` flags the roots covered
+    twice and those missed.  ``first`` names one flagged root as ``(label,
+    row, bit)``; overlaps come before gaps, gaps before identity parts.
+    """
+    part_rows = [_inversion_rows(part) for part in parts]
+    clashes, gaps = [], []
+    for i in range(degree):
+        seen = clash = 0
+        for rows in part_rows:
+            clash |= seen & rows[i]
+            seen |= rows[i]
+        clashes.append(clash)
+        gaps.append(((1 << degree) - (2 << i)) & ~seen)
+    if any(clashes):
+        root, i, j = first(clashes)
+        a, b = [k for k, rows in enumerate(part_rows, 1) if rows[i] >> j & 1][:2]
+        return f"root {root} covered by parts {a} and {b}"
+    if any(gaps):
+        return f"root {first(gaps)[0]} not covered by any part"
+    if not allow_identity:
+        for k, rows in enumerate(part_rows, start=1):
+            if not any(rows):
+                return f"part {k} is the identity"
+    return None
+
+
 def verify_decomposition(
     n: int, perms: Iterable[Perm], allow_identity: bool = True
 ) -> VerifyResult:
@@ -184,11 +222,6 @@ def verify_decomposition(
     first two parts covering it), else the first missing root; with
     ``allow_identity`` false an identity part is also rejected.  A part of
     the wrong degree, or a degree below 1, raises ValueError.
-
-    Each part is read as row bitmasks: bit ``j`` of row ``i`` is set when
-    the part inverts ``(i+1, j+1)``.  One pass over the rows in position
-    order, OR-ing the parts' rows together, finds both diagnostics without
-    building any set of roots.
 
     >>> verify_decomposition(3, [(2, 1, 3), (2, 3, 1)]).ok
     True
@@ -206,28 +239,9 @@ def verify_decomposition(
                 f"degree mismatch: expected {n}, got part"
                 f" {format_permutation(part)} of degree {len(part)}"
             )
-    part_rows = [_inversion_rows(part) for part in parts]
-    missing = None
-    for i in range(n):
-        seen = clash = 0
-        for rows in part_rows:
-            clash |= seen & rows[i]
-            seen |= rows[i]
-        if clash:
-            j = (clash & -clash).bit_length() - 1
-            a, b = [k for k, rows in enumerate(part_rows, 1) if rows[i] >> j & 1][:2]
-            root = (i + 1, j + 1)
-            return VerifyResult(False, f"root {root} covered by parts {a} and {b}")
-        gap = ((1 << n) - (2 << i)) & ~seen
-        if gap and missing is None:
-            missing = (i + 1, (gap & -gap).bit_length())
-    if missing is not None:
-        return VerifyResult(False, f"root {missing} not covered by any part")
-    if not allow_identity:
-        for k, part in enumerate(parts, start=1):
-            if part == identity(n):
-                return VerifyResult(False, f"part {k} is the identity")
-    return VerifyResult(True, f"valid decomposition of the degree-{n} positive system")
+    fault = _cover_fault(parts, n, allow_identity)
+    valid = f"valid decomposition of the degree-{n} positive system"
+    return VerifyResult(not fault, fault or valid)
 
 
 def merge(n: int, parts: Iterable[Perm]) -> Perm:

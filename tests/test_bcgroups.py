@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootdec import bcgroups
 from rootdec.acceptance import _brute_bc_counts
 from rootdec.bcgroups import (
     DIFF,
@@ -369,6 +371,74 @@ def test_verify_bc_equals_embedded_verification(family):
             degree, [EMBED[family](a), EMBED[family](b)]
         ).ok
         assert direct == embedded
+
+
+def _oracle_verify_bc(family, sigmas, allow_identity):
+    """Set-based B/C verification, the reference for verify_bc_decomposition."""
+    n = sigmas[0].n
+    covering = {}
+    for k, sigma in enumerate(sigmas, start=1):
+        for gamma in bc_inversion_set(sigma, family):
+            covering.setdefault(gamma, []).append(k)
+    roots = bc_positive_roots(family, n)
+    for gamma in roots:
+        if len(covering.get(gamma, ())) > 1:
+            a, b = covering[gamma][:2]
+            return False, f"root {gamma} covered by parts {a} and {b}"
+    for gamma in roots:
+        if gamma not in covering:
+            return False, f"root {gamma} not covered by any part"
+    if not allow_identity and bc_identity(n) in sigmas:
+        return False, f"part {sigmas.index(bc_identity(n)) + 1} is the identity"
+    return True, f"valid decomposition of the rank-{n} type-{family} positive system"
+
+
+def test_verify_bc_matches_a_set_based_oracle():
+    rng = random.Random(31)
+    cases = []
+    for n, r in itertools.product((1, 2), (1, 2, 3)):
+        cases += itertools.product(all_signed_permutations(n), repeat=r)
+    for n in (3, 4, 5):
+        elements = list(all_signed_permutations(n))
+        w0 = bc_longest(n)
+        for _ in range(60):
+            parts = rng.choices(elements, k=rng.randint(1, 4))
+            cases.append(parts)
+            # a complement pair, valid or with one part repeated or dropped
+            pair = [parts[0], bc_compose(w0, parts[0])]
+            cases += [pair, pair[:1], [pair[0], *pair]]
+    for parts, family, allow_identity in itertools.product(
+        cases, (TYPE_B, TYPE_C), (True, False)
+    ):
+        parts = list(parts)
+        result = verify_bc_decomposition(family, parts, allow_identity)
+        assert (result.ok, result.detail) == _oracle_verify_bc(family, parts, allow_identity)
+
+
+@pytest.mark.parametrize("family", (TYPE_B, TYPE_C))
+def test_verify_bc_builds_no_roots_on_a_valid_input(monkeypatch, family):
+    n = 60
+    rng = random.Random(60)
+    sigma = SignedPermutation(
+        tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), n))
+    )
+    pair = [sigma, bc_compose(bc_longest(n), sigma)]
+    built, walks = [], []
+    real_post_init = BCRoot.__post_init__
+    real_positive_roots = bcgroups.bc_positive_roots
+
+    def counting_post_init(self):
+        built.append(self)
+        real_post_init(self)
+
+    def counting_positive_roots(*args):
+        walks.append(args)
+        return real_positive_roots(*args)
+
+    monkeypatch.setattr(BCRoot, "__post_init__", counting_post_init)
+    monkeypatch.setattr(bcgroups, "bc_positive_roots", counting_positive_roots)
+    assert verify_bc_decomposition(family, pair).ok
+    assert (built, walks) == ([], [])
 
 
 # ---------------------------------------------------------------------------

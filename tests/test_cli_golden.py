@@ -4,8 +4,9 @@
 the exit code and the SHA-256 digests of stdout and stderr recorded for it:
 ``enumerate`` at n <= 6 in every mode (in every format up to n = 5),
 ``simple-form`` on seeded degree-40 permutations (simple, plus- and
-minus-decomposable, and inflations of a simple skeleton), the error paths
-of ``verify`` and ``enumerate``, ``count`` for every family up to the bound
+minus-decomposable, and inflations of a simple skeleton), ``verify`` on
+type-A and signed part lists with their error paths, the error paths of
+``enumerate``, ``count`` for every family up to the bound
 n = 64, every ``series`` at orders -1..201 in every format, ``rays`` on
 triples of degree 8, 2 and 1 and on malformed triples, and ``main([])``.
 The whole list runs in under 3 s.  A refactor that keeps every output byte
@@ -125,6 +126,20 @@ def _verify_calls() -> list[list[str]]:
         ["verify", "--type", "B", "--perms", "1 -2; -1"],
         ["verify", "--type", "C", "--strict-no-identity", "--perms", "-1 -2; 1 2"],
         ["verify", "--type", "C", "--perms", "-1 -2; 3 1"],
+    ]
+    # signed diagnostics: a gap, an overlap and a long-root gap whose first
+    # fault in B/C root order differs from the projected type-A diagnostic
+    # of the embeddings, and a valid complement pair
+    signed = [
+        ("B", "1 2 3; -2 1 3"),
+        ("C", "-1 2 3; 3 -1 -2"),
+        ("C", "1 2; -1 2"),
+        ("B", "-2 1 3 4; 2 -1 -3 -4"),
+    ]
+    calls += [
+        ["verify", "--type", family, "--perms", text, "--format", fmt]
+        for family, text in signed
+        for fmt in ("text", "csv", "json")
     ]
     return calls
 
