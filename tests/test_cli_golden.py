@@ -5,9 +5,9 @@ the exit code and the SHA-256 digests of stdout and stderr recorded for it:
 ``enumerate`` at n <= 6 in every mode (in every format up to n = 5),
 ``simple-form`` on seeded degree-40 permutations (simple, plus- and
 minus-decomposable, and inflations of a simple skeleton), ``verify`` on
-type-A and signed part lists with their error paths, the error paths of
-``enumerate``, ``count`` for every family up to the bound
-n = 64, every ``series`` at orders -1..201 in every format, ``rays`` on
+type-A and signed part lists with their error paths and on one valid
+rank-30 signed pair per family, the error paths of ``enumerate``,
+``count`` for every family up to the bound n = 64, every ``series`` at orders -1..201 in every format, ``rays`` on
 triples of degree 8, 2 and 1 and on malformed triples, and ``main([])``.
 The whole list runs in under 3 s.  A refactor that keeps every output byte
 passes unchanged.  A change meant to alter an output records the file again
@@ -141,6 +141,15 @@ def _verify_calls() -> list[list[str]]:
         for family, text in signed
         for fmt in ("text", "csv", "json")
     ]
+    # a valid rank-30 complement pair (σ, −σ) per family, as in the benchmark
+    signed_rng = random.Random(30)
+    for family in ("B", "C"):
+        sigma = [v * signed_rng.choice((1, -1)) for v in _shuffled(signed_rng, range(1, 31))]
+        pair = " ".join(map(str, sigma)) + "; " + " ".join(str(-v) for v in sigma)
+        calls += [
+            ["verify", "--type", family, "--perms", pair, "--format", fmt]
+            for fmt in ("text", "csv", "json")
+        ]
     return calls
 
 
