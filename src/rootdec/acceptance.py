@@ -49,12 +49,8 @@ import time
 from typing import Callable, TextIO
 
 from .bcgroups import (
-    DIFF,
-    SHORT,
-    SUM,
     TYPE_B,
     TYPE_C,
-    BCRoot,
     all_signed_permutations,
     ambient_degree,
     bc_inversion_set,
@@ -81,11 +77,13 @@ from .inflation import (
 )
 from .lrcone import build_equations, rays
 from .permcore import (
+    Root,
     RootSubset,
     all_roots,
     inversion_set,
     is_inversion_set,
     permutation_from_inversion_set,
+    simple_roots,
 )
 
 __all__ = ["run_acceptance"]
@@ -286,24 +284,22 @@ def criterion_3() -> Check:
 def _brute_bc_counts(family: str, n: int) -> tuple[int, int, int]:
     """Exhaustive (irreducible, maximal, triples) counts over W(B_n)/W(C_n).
 
-    Independent of the structural recursions: collects the inversion sets of
-    all 2^n * n! signed permutations and counts their exact covers of the
-    n^2 positive roots with :func:`exact_covers`.
+    Independent of the structural recursions: counts the exact covers of the
+    ambient positive system by the embeddings' inversion sets, which are the
+    covers of the B/C positive roots by B/C inversion sets.  A part is
+    maximal when its embedding has one descent among positions 1..n.
     """
-    sets = dict.fromkeys(bc_inversion_set(sigma, family) for sigma in all_signed_permutations(n))
+    embed = embed_B if family == TYPE_B else embed_C
+    sets = dict.fromkeys(inversion_set(embed(sigma)).roots for sigma in all_signed_permutations(n))
     del sets[frozenset()]
-    roots = bc_positive_roots(family, n)
-    simple = [BCRoot(n, family, DIFF, i, i + 1) for i in range(1, n)]
-    if family == TYPE_B:
-        simple.append(BCRoot(n, family, SHORT, n))
-    else:
-        simple.append(BCRoot(n, family, SUM, n, n))
+    degree = ambient_degree(family, n)
+    roots, simple = all_roots(degree), simple_roots(degree)
 
-    def covers(parts: list[frozenset[BCRoot]], r: int | None = None, pad: bool = False) -> int:
+    def covers(parts: list[frozenset[Root]], r: int | None = None, pad: bool = False) -> int:
         return sum(1 for _ in exact_covers(roots, simple, [(s, s) for s in parts], r, pad))
 
     irreducible = [s for s in sets if not any(t < s and s - t in sets for t in sets)]
-    maximal = [s for s in sets if len(s.intersection(simple)) == 1]
+    maximal = [s for s in sets if len(s.intersection(simple[:n])) == 1]
     return covers(irreducible), covers(maximal, n), covers(list(sets), 3, pad=True)
 
 
@@ -452,8 +448,8 @@ def criterion_7() -> Check:
 
     # projection fibers and mirror stability, exhaustive for both families
     # through rank 3: the symmetric embedding's inversion set contains each
-    # fiber entirely or not at all, membership matches the projected
-    # inversion set, and inverted pairs are closed under mirroring
+    # fiber entirely or not at all, membership matches bc_inversion_set
+    # (which projects nothing), and inverted pairs are closed under mirroring
     for family in (TYPE_B, TYPE_C):
         embed = embed_B if family == TYPE_B else embed_C
         for n in range(1, 4):
@@ -463,14 +459,14 @@ def criterion_7() -> Check:
             ]
             for sigma in all_signed_permutations(n):
                 ambient = set(inversion_set(embed(sigma)))
-                projected = bc_inversion_set(sigma, family)
+                inverted = bc_inversion_set(sigma, family)
                 for gamma, fib in fibers:
                     inside = fib & ambient
                     if inside and inside != fib:
                         problems.append(f"type {family} n={n}: fiber of {gamma} split by {sigma}")
-                    if (gamma in projected) != (inside == fib):
+                    if (gamma in inverted) != (inside == fib):
                         problems.append(
-                            f"type {family} n={n}: projection of {sigma} disagrees at {gamma}"
+                            f"type {family} n={n}: inversion set of {sigma} disagrees at {gamma}"
                         )
                 for i, j in ambient:
                     mirrored = (mirror_index(degree, j), mirror_index(degree, i))

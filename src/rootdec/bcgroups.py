@@ -5,11 +5,12 @@ coordinate vector.  Embedding it as a symmetric ordinary permutation — of
 degree 2n+1 with a fixed center (type B) or of degree 2n (type C) — turns
 every question about B/C inversion sets into a question about ordinary
 inversion sets, answered by :mod:`rootdec.permcore` and
-:mod:`rootdec.decompose`.  This module provides the embeddings, the
-projection from ambient positive roots onto B/C positive roots (with its
-fibers), B/C inversion sets, decomposition verification (type A's row scan
-run on the embeddings), and the symmetric inflation construction.  The B/C
-counting families live in :func:`rootdec.decompose.count_structural`.
+:mod:`rootdec.decompose`.  This module provides the embeddings, B/C
+inversion sets and verification (type A's inversion rows read at one
+ambient root per fiber), the symmetric inflation construction, and the
+projection of ambient positive roots onto B/C positive roots with its
+fibers, the independent reference for the rest.  The B/C counting
+families live in :func:`rootdec.decompose.count_structural`.
 
 The primed-index convention lives in one helper: the partner of position i
 in ambient degree d is d+1-i.  Everything downstream uses it.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .decompose import VerifyResult, _cover_fault
+from .decompose import VerifyResult, _cover_fault, _inversion_rows
 from .inflation import inflate, is_simple
 from .permcore import (
     Perm,
@@ -30,7 +31,6 @@ from .permcore import (
     all_roots,
     check_permutation,
     compose,
-    inversion_set,
     longest,
 )
 
@@ -403,16 +403,29 @@ def fiber(family: str, n: int, gamma: BCRoot) -> tuple[Root, ...]:
 # inversion sets, verification, simplicity
 
 
+def _representatives(family: str, n: int) -> Iterator[tuple[BCRoot, int, int]]:
+    """Each root of :func:`bc_positive_roots` with one ambient root of its fiber.
+
+    It comes as a 0-based row and bit of ``_inversion_rows``: (i, j) for eᵢ−eⱼ,
+    (i, j′) for eᵢ+eⱼ, (i, i′) for eᵢ or 2eᵢ; an embedding inverts whole fibers.
+    """
+    degree = ambient_degree(family, n)
+    for gamma in bc_positive_roots(family, n):
+        j = gamma.j if gamma.kind == DIFF else mirror_index(degree, gamma.j or gamma.i)
+        yield gamma, gamma.i - 1, j - 1
+
+
 def bc_inversion_set(sigma: SignedPermutation, family: str) -> frozenset[BCRoot]:
-    """The positive roots sent negative, via the embedding and the projection.
+    """The positive roots sent negative: the embedding's inversions, one per fiber.
 
     >>> sorted(str(r) for r in bc_inversion_set(SignedPermutation((-1,)), "B"))
     ['e1']
     >>> sorted(str(r) for r in bc_inversion_set(SignedPermutation((-1, 2)), "C"))
     ['2e1', 'e1+e2', 'e1-e2']
     """
-    embedded = _embed(sigma, family)
-    return frozenset(_project_root(family, sigma.n, root) for root in inversion_set(embedded))
+    rows = _inversion_rows(_embed(sigma, family))
+    representatives = _representatives(family, sigma.n)
+    return frozenset(gamma for gamma, i, j in representatives if rows[i] >> j & 1)
 
 
 def verify_bc_decomposition(
@@ -423,8 +436,8 @@ def verify_bc_decomposition(
     Diagnostics name the first root covered twice, else the first root not
     covered, in :func:`bc_positive_roots` order; with ``allow_identity``
     false an identity part is also rejected.  Ranks must agree.  The row scan
-    of type A runs on the embeddings, which invert whole fibers, testing one
-    root per fiber: (i, j) for eᵢ−eⱼ, (i, j′) for eᵢ+eⱼ, (i, i′) for eᵢ or 2eᵢ.
+    of type A runs on the embeddings, which invert whole fibers, and a fault
+    is named by testing one root per fiber (see :func:`_representatives`).
 
     >>> verify_bc_decomposition("B", [SignedPermutation((-1,))]).detail
     'valid decomposition of the rank-1 type-B positive system'
@@ -442,10 +455,7 @@ def verify_bc_decomposition(
     degree = ambient_degree(family, n)
 
     def first_in_root_order(faults: list[int]) -> tuple[BCRoot, int, int]:
-        for gamma in bc_positive_roots(family, n):
-            j = gamma.j if gamma.kind == DIFF else mirror_index(degree, gamma.j or gamma.i)
-            if faults[gamma.i - 1] >> (j - 1) & 1:
-                return gamma, gamma.i - 1, j - 1
+        return next((g, i, j) for g, i, j in _representatives(family, n) if faults[i] >> j & 1)
 
     embeddings = [_embed(sigma, family) for sigma in sigmas]
     fault = _cover_fault(embeddings, degree, allow_identity, first_in_root_order)

@@ -349,7 +349,6 @@ def _cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
                 irreducible_only=args.irreducible,
                 allow_identity=args.allow_identity,
                 maximal=args.maximal,
-                bound=config.brute_force_bound,
             )
         ]
     _emit(

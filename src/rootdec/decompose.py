@@ -435,15 +435,14 @@ def enumerate_decompositions(
     irreducible_only: bool = False,
     allow_identity: bool = False,
     maximal: bool = False,
-    bound: int = DEFAULT_ENUMERATION_BOUND,
 ) -> Iterator[Decomposition]:
     """Yield every decomposition satisfying the options, in canonical order.
 
     ``r`` fixes the part count (multiset size); identity parts only pad out
     a fixed ``r`` and only when ``allow_identity`` is set.  ``maximal``
     means r = n-1 nonempty parts, equivalently one simple root per part.
-    Degrees above ``bound`` are refused up front, because enumeration scans
-    all n! inversion sets.
+    Degrees above :data:`DEFAULT_ENUMERATION_BOUND` are refused up front,
+    because enumeration scans all n! inversion sets.
 
     The search is :func:`exact_covers` over all nonidentity permutations
     that pass the filters, so each decomposition is found exactly once.
@@ -457,8 +456,8 @@ def enumerate_decompositions(
     """
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
-    if n > bound:
-        raise ValueError(f"degree {n} exceeds the brute-force bound {bound}")
+    if n > DEFAULT_ENUMERATION_BOUND:
+        raise ValueError(f"degree {n} exceeds the brute-force bound {DEFAULT_ENUMERATION_BOUND}")
     if r is not None and r < 0:
         raise ValueError(f"part count must be nonnegative, got {r}")
     if maximal:

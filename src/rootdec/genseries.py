@@ -373,12 +373,7 @@ def series_CatB(n_max: int) -> IntSeries:
     if n_max < 1:
         raise ValueError(f"order must be at least 1, got {n_max}")
     radical = sqrt(IntSeries.from_coeffs(n_max, [1, -4]))
-    shifted = IntSeries(
-        n_max, (radical.coeffs[0],) + tuple(
-            c + (1 if n == 1 else 0) for n, c in enumerate(radical.coeffs) if n >= 1
-        )
-    )
-    return reciprocal(shifted)
+    return reciprocal(add(radical, IntSeries.from_coeffs(n_max, [0, 1])))
 
 
 def catalan(n: int) -> int:

@@ -287,6 +287,41 @@ def test_bc_inversion_set_matches_direct_action(family, n):
 
 
 @pytest.mark.parametrize("family", (TYPE_B, TYPE_C))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_bc_inversion_set_matches_the_projection(family, n):
+    # the reference route: project every ambient inversion of the embedding
+    project = {TYPE_B: project_root_B, TYPE_C: project_root_C}[family]
+    for sigma in all_signed_permutations(n):
+        projected = frozenset(project(n, root) for root in embedded_inversions(sigma, family))
+        assert bc_inversion_set(sigma, family) == projected, sigma
+
+
+@pytest.mark.parametrize("family", (TYPE_B, TYPE_C))
+def test_bc_routes_project_no_root_and_brute_counts_build_none(monkeypatch, family):
+    rng = random.Random(61)
+    sigma = SignedPermutation(
+        tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, 61), 60))
+    )
+    projections, built = [], []
+    real_project, real_post_init = bcgroups._project_root, BCRoot.__post_init__
+
+    def counting_project(*args):
+        projections.append(args)
+        return real_project(*args)
+
+    def counting_post_init(self):
+        built.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(bcgroups, "_project_root", counting_project)
+    bc_inversion_set(sigma, family)
+    assert projections == []
+    monkeypatch.setattr(BCRoot, "__post_init__", counting_post_init)
+    assert _brute_bc_counts(family, 3) == (14, 9, 33)
+    assert built == []
+
+
+@pytest.mark.parametrize("family", (TYPE_B, TYPE_C))
 @pytest.mark.parametrize("n", range(1, 4))
 def test_fiber_consistency(family, n):
     # the embedded inversion set contains each fiber entirely or not at all
@@ -542,7 +577,7 @@ def test_symmetric_inflate_with_longest_skeleton_is_consistent(family, raw_parts
 
 
 @pytest.mark.parametrize("family", (TYPE_B, TYPE_C))
-@pytest.mark.parametrize("n", range(1, 4))
+@pytest.mark.parametrize("n", range(1, 5))
 def test_brute_counts_match_structural_tables(family, n):
     irreducible, maximal, triples = _brute_bc_counts(family, n)
     assert irreducible == count_structural("BC_IRREDUCIBLE", n)[n]

@@ -329,8 +329,6 @@ def test_enumerate_pairs_count(n):
 def test_enumerate_option_validation():
     with pytest.raises(ValueError, match="exceeds the brute-force bound"):
         next(enumerate_decompositions(9))
-    with pytest.raises(ValueError, match="bound"):
-        next(enumerate_decompositions(5, bound=4))
     with pytest.raises(ValueError, match="have 3 parts"):
         next(enumerate_decompositions(4, 2, maximal=True))
     with pytest.raises(ValueError, match="allow_identity does not apply"):
