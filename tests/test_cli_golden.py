@@ -7,9 +7,10 @@ the exit code and the SHA-256 digests of stdout and stderr recorded for it:
 minus-decomposable, and inflations of a simple skeleton), ``verify`` on
 type-A and signed part lists with their error paths and on one valid
 rank-30 signed pair per family, the error paths of ``enumerate``,
-``count`` for every family up to the bound n = 64, every ``series`` at orders -1..201 in every format, ``rays`` on
-triples of degree 8, 2 and 1 and on malformed triples, and ``main([])``.
-The whole list runs in under 3 s.  A refactor that keeps every output byte
+``count`` for every family up to the bound n = 64, every ``series`` at
+orders -1, 0, 1, 2, 12 and 201 in every format and G, SB and B at the bound
+200 in csv, ``rays`` on triples of degree 8, 2 and 1 and on malformed
+triples, and ``main([])``.  A refactor that keeps every output byte
 passes unchanged.  A change meant to alter an output records the file again
 and shows the new digests in its diff::
 
@@ -172,6 +173,12 @@ def _series_calls() -> list[list[str]]:
         for which in (*SERIES_BY_NAME, "CATALAN")
         for order in ("-1", "0", "1", "2", "12", "201")
         for fmt in ("text", "csv", "json")
+    ]
+    # the bound: B at 200 reaches every compose call site (G's identity
+    # check, G into the SB right-hand side, A into SB)
+    calls += [
+        ["series", "--which", which, "--order", "200", "--format", "csv"]
+        for which in ("G", "SB", "B")
     ]
     return calls + [["series", "--which", "SA"]]
 
