@@ -56,8 +56,10 @@ from .permcore import format_permutation, inversion_set, parse_permutation
 
 OUTPUT_FORMATS = ("text", "csv", "json")
 DEFAULT_SERIES_ORDER = 40
-# The slowest series, B, takes about 16 s at this order (4 s at order 150) on
-# a 2-core machine; larger orders are refused rather than left to run for minutes.
+# The slowest series, B, takes about 2 s at this order (0.9 s at order 150) as
+# a subprocess on a 2-core machine.  Larger orders are refused, since the cost
+# grows as the cube of the order; raising the bound would change which calls
+# exit 2.
 MAX_SERIES_ORDER = 200
 CONFIG_KEYS = ("brute_force_bound", "series_order")
 

@@ -26,6 +26,7 @@ operand order rather than ever padding with fabricated zeros.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -101,6 +102,11 @@ def _aligned(f: IntSeries, g: IntSeries) -> tuple[int, tuple[int, ...], tuple[in
     return order, f.coeffs[: order + 1], g.coeffs[: order + 1]
 
 
+def _dot(a: Iterable[int], b: Iterable[int]) -> int:
+    """Sum of the pairwise products of a and b, stopping at the shorter one."""
+    return sum(map(operator.mul, a, b))
+
+
 def add(f: IntSeries, g: IntSeries) -> IntSeries:
     order, fc, gc = _aligned(f, g)
     return IntSeries(order, tuple(a + b for a, b in zip(fc, gc)))
@@ -113,14 +119,8 @@ def sub(f: IntSeries, g: IntSeries) -> IntSeries:
 
 def mul(f: IntSeries, g: IntSeries) -> IntSeries:
     order, fc, gc = _aligned(f, g)
-    out = [0] * (order + 1)
-    for i, a in enumerate(fc):
-        if a:
-            for j in range(order - i + 1):
-                b = gc[j]
-                if b:
-                    out[i + j] += a * b
-    return IntSeries(order, tuple(out))
+    reverse = gc[::-1]
+    return IntSeries(order, tuple(_dot(fc, reverse[order - n :]) for n in range(order + 1)))
 
 
 def scale(f: IntSeries, factor: int) -> IntSeries:
@@ -149,13 +149,18 @@ def reciprocal(f: IntSeries) -> IntSeries:
         raise ValueError(f"reciprocal needs constant term 1 or -1, got {c0}")
     out = [c0] + [0] * f.order
     for n in range(1, f.order + 1):
-        acc = sum(f.coeffs[k] * out[n - k] for k in range(1, n + 1) if f.coeffs[k])
-        out[n] = -c0 * acc
+        out[n] = -c0 * _dot(f.coeffs[n:0:-1], out)
     return IntSeries(f.order, tuple(out))
 
 
 def compose(f: IntSeries, g: IntSeries) -> IntSeries:
     """Substitute ``g`` into ``f``; ``g`` must have zero constant term.
+
+    Paterson-Stockmeyer: with s = isqrt(order + 1), f splits into blocks of
+    s coefficients, each block is summed against the powers g^0..g^(s-1) by
+    scalars alone, and Horner's rule runs over the blocks in g^s.  That is
+    s - 1 series products for the powers plus one per block after the
+    first, about 2 sqrt(order) where Horner in g makes ``order``.
 
     >>> f = IntSeries.from_coeffs(3, [7, 1])
     >>> compose(f, IntSeries.from_coeffs(3, [0])).coeffs
@@ -164,11 +169,19 @@ def compose(f: IntSeries, g: IntSeries) -> IntSeries:
     if g.coeffs[0] != 0:
         raise ValueError(f"composition needs g(0) = 0, got {g.coeffs[0]}")
     order = min(f.order, g.order)
-    g = truncate(g, order)
-    acc = IntSeries.from_coeffs(order, [f.coeffs[order]])
-    for k in range(order - 1, -1, -1):
-        acc = mul(acc, g)
-        acc = IntSeries(order, (acc.coeffs[0] + f.coeffs[k],) + acc.coeffs[1:])
+    coeffs = f.coeffs[: order + 1]
+    step = math.isqrt(order + 1)
+    powers = [IntSeries.from_coeffs(order, [1]), truncate(g, order)]
+    while len(powers) <= step:
+        powers.append(mul(powers[-1], powers[1]))
+    columns = list(zip(*(p.coeffs for p in powers[:step])))
+    blocks = [
+        IntSeries(order, tuple(_dot(coeffs[i : i + step], column) for column in columns))
+        for i in range(0, order + 1, step)
+    ]
+    acc = blocks.pop()
+    while blocks:
+        acc = add(mul(acc, powers[step]), blocks.pop())
     return acc
 
 
@@ -186,14 +199,10 @@ def _solve_by_powers(
     g[1] = first
     powers = [[], g] + [[0] * (n_max + 1) for _ in range(2, n_max + 1)]  # g^0 unused
     for n in range(2, n_max + 1):
-        total = 0
         for m in range(2, n + 1):
             # g^(m-1) vanishes below x^(m-1), so k stops at n - m + 1
-            lower = powers[m - 1]
-            c = sum(g[k] * lower[n - k] for k in range(1, n - m + 2))
-            powers[m][n] = c
-            total += outer[m] * c
-        g[n] = sign * total
+            powers[m][n] = _dot(g[1 : n - m + 2], powers[m - 1][n - 1 : m - 2 : -1])
+        g[n] = sign * _dot(outer[2 : n + 1], (powers[m][n] for m in range(2, n + 1)))
     return tuple(g)
 
 
@@ -233,8 +242,7 @@ def sqrt(f: IntSeries) -> IntSeries:
         raise ValueError(f"sqrt needs constant term 1, got {f.coeffs[0]}")
     y = [1] + [0] * f.order
     for n in range(1, f.order + 1):
-        cross = sum(y[i] * y[n - i] for i in range(1, n))
-        num = f.coeffs[n] - cross
+        num = f.coeffs[n] - _dot(y[1:n], y[n - 1 : 0 : -1])
         assert num % 2 == 0, f"sqrt parity failure at index {n}"
         y[n] = num // 2
     return IntSeries(f.order, tuple(y))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import random
 import time
 
 import pytest
@@ -99,6 +101,78 @@ def test_compose_linearity_example():
     f = IntSeries.from_coeffs(4, [0, 0, 1])  # x^2
     g = IntSeries.from_coeffs(4, [0, 1, 1])  # x + x^2
     assert compose(f, g).coeffs == (0, 0, 1, 2, 1)
+
+
+def _horner_compose(f, g):
+    """f(g) by Horner's rule in g, with its own schoolbook product: the oracle."""
+    order = min(f.order, g.order)
+    gc = g.coeffs[: order + 1]
+    acc = [0] * (order + 1)
+    for k in range(order, -1, -1):
+        acc = [sum(acc[i] * gc[n - i] for i in range(n + 1)) for n in range(order + 1)]
+        acc[0] += f.coeffs[k]
+    return tuple(acc)
+
+
+def _random_series(rng, order, valuation=0):
+    return IntSeries.from_coeffs(
+        order, [0] * valuation + [rng.randint(-50, 50) for _ in range(order + 1 - valuation)]
+    )
+
+
+def test_compose_matches_horner_at_every_order_to_60():
+    rng = random.Random(1973)
+    for order in range(61):
+        f = _random_series(rng, order)
+        g = _random_series(rng, order, valuation=1)
+        assert compose(f, g).coeffs == _horner_compose(f, g), order
+
+
+@pytest.mark.parametrize("f_order, g_order", [(30, 12), (12, 30), (17, 0), (0, 9), (41, 40)])
+def test_compose_matches_horner_on_unequal_orders(f_order, g_order):
+    rng = random.Random(f_order * 100 + g_order)
+    f = _random_series(rng, f_order)
+    g = _random_series(rng, g_order, valuation=1)
+    result = compose(f, g)
+    assert result.order == min(f_order, g_order)
+    assert result.coeffs == _horner_compose(f, g)
+
+
+@pytest.mark.parametrize("valuation", [2, 3, 7, 26])
+def test_compose_matches_horner_on_zero_and_high_valuation(valuation):
+    rng = random.Random(valuation)
+    order = 25
+    f = _random_series(rng, order)
+    zero = IntSeries.from_coeffs(order, [0])
+    assert compose(f, zero).coeffs == (f[0],) + (0,) * order == _horner_compose(f, zero)
+    g = _random_series(rng, order, valuation=min(valuation, order + 1))
+    assert compose(f, g).coeffs == _horner_compose(f, g)
+
+
+@pytest.fixture
+def mul_calls(monkeypatch):
+    """The order of every genseries.mul call made during the test."""
+    calls = []
+    real_mul = genseries.mul
+
+    def counting_mul(f, g):
+        calls.append(min(f.order, g.order))
+        return real_mul(f, g)
+
+    monkeypatch.setattr(genseries, "mul", counting_mul)
+    return calls
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 8, 15, 16, 40, 90, 200])
+def test_compose_makes_about_two_sqrt_products(mul_calls, order):
+    # Horner in g would make `order` products; 27 at order 200
+    f = IntSeries(order, tuple(range(1, order + 2)))
+    g = IntSeries.from_coeffs(order, [0, 1, -1] if order >= 2 else [0])
+    compose(f, g)
+    assert len(mul_calls) <= 2 * (math.isqrt(order) + 1) + 1  # 2 ceil(sqrt(order + 1)) + 1
+    assert set(mul_calls) <= {order}
+    if order == 200:
+        assert len(mul_calls) == 27
 
 
 def test_functional_inverse_round_trip_and_errors():
