@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .decompose import VerifyResult, _cover_fault, _inversion_rows
+from .decompose import VerifyResult, _cover_fault, _inversion_rows, inversion_count
 from .inflation import inflate, is_simple
 from .permcore import (
     Perm,
@@ -46,6 +46,7 @@ __all__ = [
     "ambient_degree",
     "bc_compose",
     "bc_identity",
+    "bc_inversion_count",
     "bc_inversion_set",
     "bc_is_simple",
     "bc_longest",
@@ -426,6 +427,22 @@ def bc_inversion_set(sigma: SignedPermutation, family: str) -> frozenset[BCRoot]
     rows = _inversion_rows(_embed(sigma, family))
     representatives = _representatives(family, sigma.n)
     return frozenset(gamma for gamma, i, j in representatives if rows[i] >> j & 1)
+
+
+def bc_inversion_count(sigma: SignedPermutation, family: str) -> int:
+    """The size of :func:`bc_inversion_set`, counted on the embedding.
+
+    The embedding inverts whole fibers: two ambient roots per long root
+    eᵢ±eⱼ, and per root eᵢ (type B) three, per 2eᵢ (type C) one.  Those
+    last are inverted exactly at the k negative entries, so the count is
+    (inv − k)/2 in type B and (inv + k)/2 in type C.
+
+    >>> bc_inversion_count(SignedPermutation((-1, 2)), "C")
+    3
+    """
+    negatives = sum(v < 0 for v in sigma.images)
+    sign = -1 if _check_family(family) == TYPE_B else 1
+    return (inversion_count(_embed(sigma, family)) + sign * negatives) // 2
 
 
 def verify_bc_decomposition(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .bcgroups import (
     TYPE_B,
-    bc_inversion_set,
+    bc_inversion_count,
     embed_B,
     embed_C,
     parse_signed_permutation,
@@ -38,6 +38,7 @@ from .decompose import (
     FAMILIES,
     count_structural,
     enumerate_decompositions,
+    inversion_count,
     is_irreducible_structural,
     verify_decomposition,
 )
@@ -52,7 +53,7 @@ from .genseries import (
     simple_pairs_A,
 )
 from .inflation import simple_form
-from .permcore import format_permutation, inversion_set, parse_permutation
+from .permcore import format_permutation, parse_permutation
 
 OUTPUT_FORMATS = ("text", "csv", "json")
 DEFAULT_SERIES_ORDER = 40
@@ -285,14 +286,14 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     if args.type == "A":
         result = verify_decomposition(len(parts[0]), parts, allow_identity)
         rows = [
-            _part_report(k, format_permutation(part), len(inversion_set(part).roots), part)
+            _part_report(k, format_permutation(part), inversion_count(part), part)
             for k, part in enumerate(parts, start=1)
         ]
     else:
         result = verify_bc_decomposition(args.type, parts, allow_identity)
         embed = embed_B if args.type == TYPE_B else embed_C
         rows = [
-            _part_report(k, str(part), len(bc_inversion_set(part, args.type)), embed(part))
+            _part_report(k, str(part), bc_inversion_count(part, args.type), embed(part))
             for k, part in enumerate(parts, start=1)
         ]
     table = [["part", "permutation", "inversions", "irreducible", "simple_form"]]

@@ -58,6 +58,7 @@ __all__ = [
     "count_structural",
     "enumerate_decompositions",
     "exact_covers",
+    "inversion_count",
     "is_irreducible",
     "is_irreducible_structural",
     "merge",
@@ -173,6 +174,15 @@ def _inversion_rows(sigma: Perm) -> list[int]:
         rows[i] = smaller >> (i + 1) << (i + 1)
         smaller |= 1 << i
     return rows
+
+
+def inversion_count(sigma: Perm) -> int:
+    """The number of inversions of ``sigma``: the set bits of its inversion rows.
+
+    >>> inversion_count((3, 1, 2))
+    2
+    """
+    return sum(row.bit_count() for row in _inversion_rows(sigma))
 
 
 def _first_flagged(faults: list[int]) -> tuple[Root, int, int]:

@@ -25,6 +25,7 @@ from rootdec.bcgroups import (
     ambient_degree,
     bc_compose,
     bc_identity,
+    bc_inversion_count,
     bc_inversion_set,
     bc_is_simple,
     bc_longest,
@@ -294,6 +295,15 @@ def test_bc_inversion_set_matches_the_projection(family, n):
     for sigma in all_signed_permutations(n):
         projected = frozenset(project(n, root) for root in embedded_inversions(sigma, family))
         assert bc_inversion_set(sigma, family) == projected, sigma
+
+
+@pytest.mark.parametrize("family", (TYPE_B, TYPE_C))
+def test_bc_inversion_count_is_the_set_size(family):
+    # all 442 signed permutations of rank <= 4
+    sigmas = [s for n in range(1, 5) for s in all_signed_permutations(n)]
+    assert len(sigmas) == 442
+    for sigma in sigmas:
+        assert bc_inversion_count(sigma, family) == len(bc_inversion_set(sigma, family)), sigma
 
 
 @pytest.mark.parametrize("family", (TYPE_B, TYPE_C))

@@ -16,6 +16,7 @@ from rootdec.decompose import (
     count_structural,
     enumerate_decompositions,
     exact_covers,
+    inversion_count,
     is_irreducible,
     is_irreducible_structural,
     merge,
@@ -208,6 +209,12 @@ def test_verify_matches_a_set_based_oracle():
         for allow_identity in (True, False):
             result = verify_decomposition(n, parts, allow_identity)
             assert (result.ok, result.detail) == _oracle_verify(n, parts, allow_identity)
+
+
+def test_inversion_count_is_the_set_size():
+    for n in range(1, 6):
+        for sigma in itertools.permutations(range(1, n + 1)):
+            assert inversion_count(sigma) == len(inversion_set(sigma).roots), sigma
 
 
 def test_verify_identity_part_toggle():
