@@ -138,14 +138,14 @@ def test_compose_matches_horner_on_unequal_orders(f_order, g_order):
     assert result.coeffs == _horner_compose(f, g)
 
 
-@pytest.mark.parametrize("valuation", [2, 3, 7, 26])
+@pytest.mark.parametrize("valuation", [2, 3, 7, 25])
 def test_compose_matches_horner_on_zero_and_high_valuation(valuation):
     rng = random.Random(valuation)
     order = 25
     f = _random_series(rng, order)
     zero = IntSeries.from_coeffs(order, [0])
     assert compose(f, zero).coeffs == (f[0],) + (0,) * order == _horner_compose(f, zero)
-    g = _random_series(rng, order, valuation=min(valuation, order + 1))
+    g = _random_series(rng, order, valuation=valuation)
     assert compose(f, g).coeffs == _horner_compose(f, g)
 
 
