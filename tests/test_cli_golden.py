@@ -4,7 +4,8 @@
 the exit code and the SHA-256 digests of stdout and stderr recorded for it:
 ``enumerate`` at n <= 6 in every mode (in every format up to n = 5),
 ``simple-form`` on seeded degree-40 permutations (simple, plus- and
-minus-decomposable, and inflations of a simple skeleton), ``verify`` on
+minus-decomposable, and inflations of a simple skeleton) and on degree-200
+shuffles and inflations of (2,4,1,3) and ``exceptional(2, 3)``, ``verify`` on
 type-A and signed part lists with their error paths and on one valid
 rank-30 signed pair per family, the error paths of ``enumerate``,
 ``count`` for every family up to the bound n = 64, every ``series`` at
@@ -28,6 +29,7 @@ from pathlib import Path
 
 from rootdec.cli import SERIES_BY_NAME, main
 from rootdec.decompose import FAMILIES
+from rootdec.inflation import exceptional
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
 
@@ -80,12 +82,26 @@ def _simple_form_perms(rng: random.Random, n: int = 40) -> list[list[int]]:
     perms.append([*range(2, n + 1, 2), *range(1, n, 2)])  # exceptional, simple
     perms.append([v for t in range(1, half + 1) for v in (half + t, t)])
     # the simple skeleton 2 4 1 3 inflated by random parts
-    skeleton, sizes = (2, 4, 1, 3), (7, 13, 9, 11)
+    perms.append(_inflated(rng, (2, 4, 1, 3), (7, 13, 9, 11)))
+    return perms
+
+
+def _inflated(rng: random.Random, skeleton, sizes) -> list[int]:
+    """``skeleton`` inflated by shuffled parts of the given sizes."""
     inflated: list[int] = []
     for a, size in enumerate(sizes):
-        offset = sum(sizes[b] for b in range(4) if skeleton[b] < skeleton[a])
+        offset = sum(sizes[b] for b in range(len(sizes)) if skeleton[b] < skeleton[a])
         inflated += [offset + v for v in _shuffled(rng, range(1, size + 1))]
-    perms.append(inflated)
+    return inflated
+
+
+def _large_simple_form_perms(rng: random.Random) -> list[list[int]]:
+    # degree 200: two shuffles (mostly a simple skeleton of nearly 200 parts),
+    # a small skeleton with four parts of 50, and an exceptional one with
+    # parts of 10..40
+    perms = [_shuffled(rng, range(1, 201)) for _ in range(2)]
+    perms.append(_inflated(rng, (2, 4, 1, 3), (50, 50, 50, 50)))
+    perms.append(_inflated(rng, exceptional(2, 3), (40, 10, 35, 40, 35, 40)))
     return perms
 
 
@@ -97,6 +113,11 @@ def _simple_form_calls() -> list[list[str]]:
         fmt = "json" if k % 3 == 0 else "text"
         calls.append(["simple-form", "--perm", text, "--format", fmt])
     calls += [["simple-form", "--perm", "1"], ["simple-form", "--perm", "2 2 1"]]
+    calls += [
+        ["simple-form", "--perm", " ".join(map(str, perm)), "--format", fmt]
+        for perm in _large_simple_form_perms(random.Random(200))
+        for fmt in ("text", "json")
+    ]
     return calls
 
 
