@@ -33,6 +33,7 @@ from .permcore import (
     identity,
     inversion_set,
     longest,
+    parse_permutation,
     restrict,
 )
 
@@ -116,24 +117,21 @@ def inflation_inversion_set(
     return RootSubset(total, frozenset(pairs))
 
 
-def _windows(sigma: Perm) -> Iterator[tuple[int, int]]:
-    """Yield ``(start, end)`` for each block of two or more positions.
+def _block_ends(sigma: Perm, start: int) -> Iterator[int]:
+    """Yield, ascending, each ``end > start`` where positions ``start..end`` form a block.
 
-    Positions are 1-based and inclusive, in order of start, then end.  Each
-    window is grown from its start while tracking min and max image; it is
-    a block exactly when the image span equals the window length.
+    Positions are 1-based.  The window grows from ``start`` tracking its min and
+    max image; it is a block exactly when the image span equals its length.
     """
-    n = len(sigma)
-    for start in range(1, n):
-        low = high = sigma[start - 1]
-        for end in range(start + 1, n + 1):
-            value = sigma[end - 1]
-            if value < low:
-                low = value
-            elif value > high:
-                high = value
-            if high - low == end - start:
-                yield start, end
+    low = high = sigma[start - 1]
+    for end in range(start + 1, len(sigma) + 1):
+        value = sigma[end - 1]
+        if value < low:
+            low = value
+        elif value > high:
+            high = value
+        if high - low == end - start:
+            yield end
 
 
 def blocks(sigma: Iterable[int]) -> tuple[Block, ...]:
@@ -147,9 +145,11 @@ def blocks(sigma: Iterable[int]) -> tuple[Block, ...]:
     5
     """
     sigma = check_permutation(sigma)
-    found = [Block(start, 1) for start in range(1, len(sigma) + 1)]
-    found += [Block(start, end - start + 1) for start, end in _windows(sigma)]
-    return tuple(sorted(found, key=lambda b: (b.start, b.length)))
+    return tuple(
+        Block(start, end - start + 1)
+        for start in range(1, len(sigma) + 1)
+        for end in (start, *_block_ends(sigma, start))
+    )
 
 
 def is_simple(sigma: Iterable[int]) -> bool:
@@ -165,7 +165,9 @@ def is_simple(sigma: Iterable[int]) -> bool:
     """
     sigma = check_permutation(sigma)
     n = len(sigma)
-    return all(end - start + 1 == n for start, end in _windows(sigma))
+    return all(
+        end - start + 1 == n for start in range(1, n) for end in _block_ends(sigma, start)
+    )
 
 
 def is_atomic(sigma: Iterable[int]) -> bool:
@@ -246,13 +248,13 @@ class SimpleForm:
             if self.skeleton != identity(m):
                 raise ValueError(f"skeleton {self.skeleton} is not an identity")
             for part in self.parts:
-                if is_plus_decomposable(part):
+                if _plus_cut_points(part):
                     raise ValueError(f"part {part} is plus-decomposable")
         elif self.skeleton_kind == REVERSAL:
             if self.skeleton != longest(m):
                 raise ValueError(f"skeleton {self.skeleton} is not order-reversing")
             for part in self.parts:
-                if is_minus_decomposable(part):
+                if _minus_cut_points(part):
                     raise ValueError(f"part {part} is minus-decomposable")
         else:
             raise ValueError(f"unknown skeleton kind {self.skeleton_kind!r}")
@@ -266,11 +268,12 @@ class SimpleForm:
 
 
 def _parts_for_cuts(sigma: Perm, cuts: Sequence[int]) -> tuple[Perm, ...]:
-    bounds = [0, *cuts, len(sigma)]
-    return tuple(
-        restrict(sigma, range(bounds[a] + 1, bounds[a + 1] + 1))
-        for a in range(len(bounds) - 1)
-    )
+    # each part is a block, so its values are consecutive and a shift standardizes it
+    parts = []
+    for low, high in itertools.pairwise([0, *cuts, len(sigma)]):
+        shift = min(sigma[low:high]) - 1
+        parts.append(tuple(value - shift for value in sigma[low:high]))
+    return tuple(parts)
 
 
 def simple_form(sigma: Iterable[int]) -> SimpleForm:
@@ -278,9 +281,9 @@ def simple_form(sigma: Iterable[int]) -> SimpleForm:
 
     Plus-decomposable permutations split at every bottom-prefix point
     (IDENTITY, maximal number of parts); minus-decomposable ones split at
-    every top-prefix point (REVERSAL); simple permutations are their own
-    skeleton with singleton parts; everything else gets its unique coarsest
-    partition into maximal proper blocks, whose skeleton is simple.
+    every top-prefix point (REVERSAL); everything else gets its unique
+    coarsest partition into maximal proper blocks, whose skeleton is simple
+    (a simple permutation is its own skeleton with singleton parts).
 
     >>> print(simple_form((5, 3, 4, 8, 1, 2, 6, 7)))
     (2,4,1,3)[(3,1,2),(1),(1,2),(1,2)]
@@ -304,23 +307,17 @@ def simple_form(sigma: Iterable[int]) -> SimpleForm:
         parts = _parts_for_cuts(sigma, minus_cuts)
         return SimpleForm(REVERSAL, longest(len(parts)), parts)
 
-    if is_simple(sigma):
-        return SimpleForm(SIMPLE, sigma, ((1,),) * n)
-
-    # Coarsest partition into maximal proper blocks.  With a simple skeleton
-    # every proper block is confined to one partition interval, so taking the
-    # longest proper block at each successive start recovers the partition.
-    longest_end = list(range(n + 1))  # a start with no proper block ends there
-    for start, end in _windows(sigma):
-        if end - start + 1 < n:
-            longest_end[start] = end
+    # Neither decomposable: sigma inflates a simple skeleton of degree >= 4 in
+    # exactly one way (Albert and Atkinson, Discrete Math. 300, 2005), so every
+    # proper block lies inside one part, and the longest proper block starting
+    # at a part's first position is that part: one walk per part suffices.
     ends = [0]
     while ends[-1] < n:
-        ends.append(longest_end[ends[-1] + 1])
-    cuts = ends[1:-1]
-    parts = _parts_for_cuts(sigma, cuts)
-    skeleton_positions = [1, *(cut + 1 for cut in cuts)]
-    skeleton = restrict(sigma, skeleton_positions)
+        start = ends[-1] + 1
+        proper = (end for end in _block_ends(sigma, start) if end - start + 1 < n)
+        ends.append(max(proper, default=start))
+    parts = _parts_for_cuts(sigma, ends[1:-1])
+    skeleton = restrict(sigma, [end + 1 for end in ends[:-1]])
     form = SimpleForm(SIMPLE, skeleton, parts)
     assert form.permutation() == sigma
     return form
@@ -425,8 +422,6 @@ def _parse_parenthesized(chunk: str) -> Perm:
     chunk = chunk.strip()
     if not (chunk.startswith("(") and chunk.endswith(")")):
         raise ValueError(f"expected a parenthesized permutation, got {chunk!r}")
-    from .permcore import parse_permutation
-
     return parse_permutation(chunk[1:-1])
 
 

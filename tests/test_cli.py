@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootdec import cli, lrcone
 from rootdec.cli import (
+    MAX_RAYS_DEGREE,
     MAX_SERIES_ORDER,
     SERIES_BY_NAME,
     RunConfig,
@@ -361,6 +363,39 @@ def test_rays_error_paths(capsys):
     code, _, err = run(capsys, "rays", "--perms", "2 1 3; 2 1 3; 1 2 3")
     assert code == 1
     assert "do not partition" in err
+
+
+def _w0_id_id(n: int) -> str:
+    ident = " ".join(map(str, range(1, n + 1)))
+    return f"{' '.join(map(str, range(n, 0, -1)))}; {ident}; {ident}"
+
+
+def _refuse_lrcone_work(monkeypatch):
+    def fail(*triple):
+        raise AssertionError("lrcone ran on a refused degree")
+
+    monkeypatch.setattr(lrcone, "rays", fail)
+    monkeypatch.setattr(lrcone, "rays_json", fail)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rays_refuses_a_degree_above_the_bound(capsys, monkeypatch, fmt):
+    _refuse_lrcone_work(monkeypatch)
+    n = MAX_RAYS_DEGREE + 1
+    code, out, err = run(capsys, "rays", "--perms", _w0_id_id(n), "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == f"error: degree {n} exceeds the rays bound {MAX_RAYS_DEGREE}\n"
+
+
+def test_rays_bound_admits_its_own_degree(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_RAYS_DEGREE", 3)
+    code, out, err = run(capsys, "rays", "--perms", _w0_id_id(3))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "a1,a2,b1,b2,c1,c2"
+    _refuse_lrcone_work(monkeypatch)
+    code, out, err = run(capsys, "rays", "--perms", _w0_id_id(4))
+    assert (code, out) == (1, "")
+    assert err == "error: degree 4 exceeds the rays bound 3\n"
 
 
 # ---------------------------------------------------------------------------

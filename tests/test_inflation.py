@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -138,7 +139,7 @@ def test_simple_form_small_degrees():
 
 
 def test_simple_form_checks_a_simple_skeleton_once(monkeypatch):
-    # one is_simple call on sigma itself and one in SimpleForm's own check
+    # only SimpleForm's own check runs is_simple, on the skeleton
     calls = []
     real_is_simple = inflation.is_simple
 
@@ -148,7 +149,33 @@ def test_simple_form_checks_a_simple_skeleton_once(monkeypatch):
 
     monkeypatch.setattr(inflation, "is_simple", counting_is_simple)
     assert simple_form((5, 3, 4, 8, 1, 2, 6, 7)).skeleton == (2, 4, 1, 3)
-    assert calls == [8, 4]
+    assert calls == [4]
+
+
+def test_simple_form_walks_from_part_starts_only(monkeypatch):
+    # (2,4,1,3) inflated by four parts of 50: one walk per part over sigma (at
+    # most 4 x 200 positions, where an all-windows scan reads ~19,900 windows)
+    # and one restrict, for the skeleton
+    walks, restricted = [], []
+    real_block_ends, real_restrict = inflation._block_ends, inflation.restrict
+
+    def counting_block_ends(sigma, start):
+        walks.append((len(sigma), start))
+        return real_block_ends(sigma, start)
+
+    def counting_restrict(sigma, positions):
+        restricted.append(len(sigma))
+        return real_restrict(sigma, positions)
+
+    monkeypatch.setattr(inflation, "_block_ends", counting_block_ends)
+    monkeypatch.setattr(inflation, "restrict", counting_restrict)
+    rng = random.Random(4)
+    parts = [tuple(rng.sample(range(1, 51), 50)) for _ in range(4)]
+    form = simple_form(inflate((2, 4, 1, 3), parts))
+    assert form == SimpleForm(SIMPLE, (2, 4, 1, 3), tuple(parts))
+    starts = [start for n, start in walks if n == 200]
+    assert starts == [1, 51, 101, 151]
+    assert restricted == [200]
 
 
 def test_simple_form_invariants_enforced():
@@ -299,3 +326,28 @@ def test_simple_form_round_trip_property(sigma):
     form = simple_form(sigma)
     assert form.permutation() == sigma
     assert parse_simple_form(str(form)) == form
+
+
+def _random_simple(rng: random.Random, m: int) -> tuple[int, ...]:
+    while True:
+        sigma = tuple(rng.sample(range(1, m + 1), m))
+        if is_simple(sigma):
+            return sigma
+
+
+def test_simple_form_recovers_large_inflations_of_simple_skeletons():
+    # parts of 1..50 over a simple skeleton of degree 4..8 (unique expression),
+    # up to degree about 300
+    rng = random.Random(2005)
+    skeletons = [exceptional(kind, half) for kind in (1, 2, 3, 4) for half in (2, 3, 4)]
+    skeletons += [_random_simple(rng, m) for m in (5, 6, 7, 8) for _ in range(3)]
+    for skeleton in skeletons:
+        for _ in range(3):
+            budget = 300
+            parts = []
+            for remaining in range(len(skeleton), 0, -1):
+                size = rng.randint(1, min(50, budget - remaining + 1))
+                budget -= size
+                parts.append(tuple(rng.sample(range(1, size + 1), size)))
+            sigma = inflate(skeleton, parts)
+            assert simple_form(sigma) == SimpleForm(SIMPLE, skeleton, tuple(parts))
