@@ -10,8 +10,9 @@ type-A and signed part lists with their error paths and on one valid
 rank-30 signed pair per family, the error paths of ``enumerate``,
 ``count`` for every family up to the bound n = 64, every ``series`` at
 orders -1, 0, 1, 2, 12 and 201 in every format and G, SB and B at the bound
-200 in csv, ``rays`` on triples of degree 8, 2 and 1 and on malformed
-triples, and ``main([])``.  A refactor that keeps every output byte
+200 in csv, ``rays`` on triples of degree 8, 2 and 1, on seeded triples of
+degree 40, 400 and 1000 in csv and json, and on malformed triples, and
+``main([])``.  A refactor that keeps every output byte
 passes unchanged.  A change meant to alter an output records the file again
 and shows the new digests in its diff::
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import json
 import random
 from pathlib import Path
@@ -34,19 +34,33 @@ from rootdec.inflation import exceptional
 GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+class _Digest:
+    """A text stream that keeps only the SHA-256 of the UTF-8 text written to it.
+
+    The degree-1000 ``rays`` outputs run to tens of megabytes, which a
+    ``StringIO`` would hold whole.
+    """
+
+    def __init__(self) -> None:
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sha.update(text.encode("utf-8"))
+        return len(text)
+
+    def flush(self) -> None:
+        pass
 
 
 def _call(argv: list[str]) -> dict[str, object]:
-    out, err = io.StringIO(), io.StringIO()
+    out, err = _Digest(), _Digest()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return {
         "argv": argv,
         "code": code,
-        "stdout": _digest(out.getvalue()),
-        "stderr": _digest(err.getvalue()),
+        "stdout": out.sha.hexdigest(),
+        "stderr": err.sha.hexdigest(),
     }
 
 
@@ -204,11 +218,41 @@ def _series_calls() -> list[list[str]]:
     return calls + [["series", "--which", "SA"]]
 
 
+GOLDEN_TRIPLE = ((5, 3, 4, 8, 1, 2, 6, 7), (4, 5, 6, 1, 7, 8, 3, 2), (1, 3, 2, 4, 6, 5, 7, 8))
+
+
+def _random_triple(rng: random.Random, n: int) -> tuple[tuple[int, ...], ...]:
+    """A valid triple of degree ``n`` built by recursive inflation.
+
+    Two valid triples of degrees a and b combine into one of degree a + b:
+    one part, chosen at random, is the skew sum ``(2,1)[u, v]`` (it inverts
+    every cross pair) and the other two are direct sums ``(1,2)[u, v]``.
+    Degree-8 leaves are often a shuffle of the degree-8 golden triple, so
+    simple skeletons occur.
+    """
+    if n == 1:
+        return ((1,), (1,), (1,))
+    if n == 8 and rng.random() < 0.5:
+        return tuple(rng.sample(GOLDEN_TRIPLE, 3))
+    a = rng.randint(1, n - 1)
+    left, right = _random_triple(rng, a), _random_triple(rng, n - a)
+    skew = rng.randrange(3)
+    return tuple(
+        (*(x + n - a for x in u), *v) if t == skew else (*u, *(x + a for x in v))
+        for t, (u, v) in enumerate(zip(left, right))
+    )
+
+
 def _rays_calls() -> list[list[str]]:
     triples = [
         "5 3 4 8 1 2 6 7; 4 5 6 1 7 8 3 2; 1 3 2 4 6 5 7 8",
         "2 1; 1 2; 1 2",
         "1;1;1",
+    ]
+    rng = random.Random(1000)
+    triples += [
+        "; ".join(" ".join(map(str, part)) for part in _random_triple(rng, n))
+        for n in (40, 400, 1000)
     ]
     calls = [
         ["rays", "--perms", text, "--format", fmt]
