@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator
 
 from .decompose import VerifyResult, _cover_fault, _inversion_rows, inversion_count
@@ -416,6 +416,30 @@ def _representatives(family: str, n: int) -> Iterator[tuple[BCRoot, int, int]]:
         yield gamma, gamma.i - 1, j - 1
 
 
+def _first_in_root_order(family: str, n: int, faults: list[int]) -> tuple[BCRoot, int, int]:
+    """The first root of :func:`bc_positive_roots` whose representative bit is flagged.
+
+    The order is read off ``faults`` one row per root kind, with the bits of
+    :func:`_representatives`: eᵢ−eⱼ (j = i+1..n) at bits i..n−1 of row i−1,
+    lowest first; eᵢ+eⱼ at bits degree−j, highest first; eᵢ or 2eᵢ at bit
+    degree−i.  Only the named root is built.
+    """
+    degree = ambient_degree(family, n)
+    for i in range(1, n + 1):
+        hit = faults[i - 1] & ((1 << n) - (1 << i))
+        if hit:
+            j = (hit & -hit).bit_length()
+            return BCRoot(n, family, DIFF, i, j), i - 1, j - 1
+    for i in range(1, n + 1):
+        hit = faults[i - 1] & ((1 << (degree - i)) - (1 << (degree - n)))
+        if hit:
+            bit = hit.bit_length() - 1
+            return BCRoot(n, family, SUM, i, degree - bit), i - 1, bit
+    i = next(i for i in range(1, n + 1) if faults[i - 1] >> (degree - i) & 1)
+    gamma = BCRoot(n, family, SHORT, i) if family == TYPE_B else BCRoot(n, family, SUM, i, i)
+    return gamma, i - 1, degree - i
+
+
 def bc_inversion_set(sigma: SignedPermutation, family: str) -> frozenset[BCRoot]:
     """The positive roots sent negative: the embedding's inversions, one per fiber.
 
@@ -454,7 +478,7 @@ def verify_bc_decomposition(
     covered, in :func:`bc_positive_roots` order; with ``allow_identity``
     false an identity part is also rejected.  Ranks must agree.  The row scan
     of type A runs on the embeddings, which invert whole fibers, and a fault
-    is named by testing one root per fiber (see :func:`_representatives`).
+    is named from the flagged rows (see :func:`_first_in_root_order`).
 
     >>> verify_bc_decomposition("B", [SignedPermutation((-1,))]).detail
     'valid decomposition of the rank-1 type-B positive system'
@@ -469,13 +493,9 @@ def verify_bc_decomposition(
     if len(ranks) > 1:
         raise ValueError(f"rank mismatch: {sorted(ranks)}")
     (n,) = ranks
-    degree = ambient_degree(family, n)
-
-    def first_in_root_order(faults: list[int]) -> tuple[BCRoot, int, int]:
-        return next((g, i, j) for g, i, j in _representatives(family, n) if faults[i] >> j & 1)
-
     embeddings = [_embed(sigma, family) for sigma in sigmas]
-    fault = _cover_fault(embeddings, degree, allow_identity, first_in_root_order)
+    first = partial(_first_in_root_order, family, n)
+    fault = _cover_fault(embeddings, ambient_degree(family, n), allow_identity, first)
     valid = f"valid decomposition of the rank-{n} type-{family} positive system"
     return VerifyResult(not fault, fault or valid)
 

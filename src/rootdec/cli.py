@@ -5,7 +5,8 @@ is domain-invalid (a non-decomposition, an out-of-bounds degree), 2 for
 parse and usage errors.  Every refused call takes one path: a handler raises
 ``_Exit`` with the code and the message (``_errors`` turns a library
 ``ValueError`` into one), and :func:`main` alone prints the single
-``error: ...`` line to stderr.  ``verify``, ``count``, ``enumerate`` and
+``error: ...`` line to stderr; a stdout that is closed or full ends the call
+the same way, with exit 1.  ``verify``, ``count``, ``enumerate`` and
 ``series`` print through one text/csv/json emitter.  Machine formats
 (``--format csv`` / ``json``) print deterministically, so identical
 invocations give identical bytes.
@@ -20,8 +21,10 @@ permutations) and ``series_order`` (default order for
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -62,7 +65,9 @@ DEFAULT_SERIES_ORDER = 40
 # grows as the cube of the order; raising the bound would change which calls
 # exit 2.
 MAX_SERIES_ORDER = 200
-# rays json, as a subprocess on 2 cores: 6.6 s, 574 MiB at degree 1000; 20.5 s, 2.2 GiB at 2000
+# rays writes its output as it is made: at degree 1000, 12 MB of csv or 54 MB of
+# json in about 0.3 s and 20 MiB as a subprocess on 2 cores.  The output grows as
+# the square of the degree, so a larger bound should be set by output size.
 MAX_RAYS_DEGREE = 1000
 CONFIG_KEYS = ("brute_force_bound", "series_order")
 
@@ -382,8 +387,10 @@ def _cmd_rays(args: argparse.Namespace, config: RunConfig) -> int:
     from .lrcone import rays, rays_json
 
     with _errors(1):
-        output = rays_json(*triple) if args.format == "json" else rays(*triple).to_csv()
-    sys.stdout.write(output)
+        lines = rays_json(*triple) if args.format == "json" else rays(*triple).csv_lines()
+    # checked and solved: only writing is left
+    for line in lines:
+        sys.stdout.write(line)
     return 0
 
 
@@ -445,15 +452,28 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed_check:
             from .acceptance import run_acceptance
 
-            return run_acceptance()
-        if args.command is None:
+            code = run_acceptance()
+        elif args.command is None:
             parser.print_usage(sys.stderr)
             raise _Exit(2, "a command is required")
-        return _HANDLERS[args.command](args, config)
+        else:
+            code = _HANDLERS[args.command](args, config)
+        sys.stdout.flush()
+        return code
     except _Exit as exc:
         code, message = exc.args
         print(f"error: {message}", file=sys.stderr)
         return code
+    except OSError as exc:
+        # stdout was closed (a reader such as `head` left) or is full; the
+        # interpreter's final flush then writes what is left to /dev/null
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # no descriptor
+            stdout = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout)
+            os.close(devnull)
+        print(f"error: cannot write output: {exc.strerror or type(exc).__name__}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -81,7 +81,10 @@ def inflate(skeleton: Iterable[int], parts: Sequence[Iterable[int]]) -> Perm:
     >>> inflate((1, 2), [(1, 2), (1,)])
     (1, 2, 3)
     """
-    skeleton, parts = _checked_inflation(skeleton, parts)
+    return _inflate(*_checked_inflation(skeleton, parts))
+
+
+def _inflate(skeleton: Perm, parts: tuple[Perm, ...]) -> Perm:
     # in skeleton-value order, each part's range starts where the previous one ends
     offsets = [0] * len(parts)
     for a, b in itertools.pairwise(sorted(range(len(parts)), key=skeleton.__getitem__)):
@@ -261,7 +264,7 @@ class SimpleForm:
 
     def permutation(self) -> Perm:
         """Inflate the expression back into the permutation it describes."""
-        return inflate(self.skeleton, self.parts)
+        return _inflate(self.skeleton, self.parts)  # validated on construction
 
     def __str__(self) -> str:
         return format_inflation(self.skeleton, self.parts)

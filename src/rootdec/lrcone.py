@@ -27,14 +27,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .decompose import verify_decomposition
 from .permcore import Perm, Root, check_permutation, inverse
 
-SIDE_A = "A"
-SIDE_B = "B"
-SIDE_C = "C"
-SIDES = (SIDE_A, SIDE_B, SIDE_C)
+SIDES = ("A", "B", "C")
 
 Triple = tuple[Perm, Perm, Perm]
 
@@ -65,13 +63,9 @@ class FaceVariable:
         return f"{self.side.lower()}{self.index}"
 
 
-def _format_terms(variables: tuple[FaceVariable, ...]) -> str:
-    grouped = Counter(variables)
-    parts = []
-    for var in sorted(grouped):
-        count = grouped[var]
-        parts.append(str(var) if count == 1 else f"{count}*{var}")
-    return " + ".join(parts) if parts else "0"
+def _format_terms(terms, name=str) -> str:
+    grouped = sorted(Counter(terms).items())
+    return " + ".join(name(t) if k == 1 else f"{k}*{name(t)}" for t, k in grouped) or "0"
 
 
 @dataclass(frozen=True)
@@ -98,79 +92,89 @@ class FaceEquation:
             raise ValueError(f"source root must satisfy 1 <= i < j, got {(i, j)}")
         object.__setattr__(self, "rhs", tuple(sorted(self.rhs)))
         if self.pivot in self.rhs:
-            raise ValueError(
-                f"pivot {self.pivot} appears on its own right-hand side"
-            )
+            raise ValueError(f"pivot {self.pivot} appears on its own right-hand side")
 
     def __str__(self) -> str:
         return f"{self.pivot} = {_format_terms(self.rhs)}"
 
 
+def _columns(n: int) -> tuple[FaceVariable, ...]:
+    return tuple(FaceVariable(side, k) for side in SIDES for k in range(1, n))
+
+
 @dataclass(frozen=True)
 class RayMatrix:
-    """The generating rays of one face, one row per free coordinate.
+    """The generating rays of one face, stored by their nonzero entries.
 
-    Rows and columns follow the canonical coordinate order ``a_1 ..
-    a_{n-1}, b_1 .. b_{n-1}, c_1 .. c_{n-1}``; row ``k`` is the ray obtained
-    by setting free coordinate ``free[k]`` to 1.  Every entry is a
-    nonnegative integer, and within the free columns each row is a unit
-    vector.
+    Columns number the ``3(n-1)`` coordinates from 0 in the canonical order
+    of :meth:`column_order`.  Ray ``k`` sets free column ``free[k]`` to 1
+    and the other free columns to 0; ``pivots`` maps each of the other
+    ``n - 1`` columns to its entries ``{free column: value}``, all positive.
+
+    >>> RayMatrix(n=2, free=(1, 2), pivots={0: {1: 1, 2: 1}}).rows
+    ((1, 1, 0), (1, 0, 1))
     """
 
     n: int
-    free: tuple[FaceVariable, ...] = field(repr=False)
-    rows: tuple[tuple[int, ...], ...]
+    free: tuple[int, ...]
+    pivots: dict[int, dict[int, int]] = field(hash=False)
 
     def __post_init__(self) -> None:
-        n = self.n
+        n, free, width = self.n, set(self.free), 3 * (self.n - 1)
         if n < 1:
             raise ValueError(f"degree must be positive, got {n}")
-        if len(self.free) != 2 * (n - 1) or len(self.rows) != 2 * (n - 1):
+        if (
+            (len(free), len(self.pivots)) != (2 * (n - 1), n - 1)
+            or list(self.free) != sorted(free)
+            or free | self.pivots.keys() != set(range(width))
+        ):
             raise ValueError(
-                f"expected {2 * (n - 1)} free coordinates and rays, got "
-                f"{len(self.free)} and {len(self.rows)}"
+                f"expected {2 * (n - 1)} ascending free columns and {n - 1} pivot columns, "
+                f"naming each of the {width} columns once"
             )
-        columns = {var: k for k, var in enumerate(self.column_order())}
-        free_columns = [columns[var] for var in self.free]
-        for row_index, row in enumerate(self.rows):
-            if len(row) != 3 * (n - 1):
-                raise ValueError(
-                    f"ray {row_index + 1} has {len(row)} coordinates, "
-                    f"expected {3 * (n - 1)}"
-                )
-            if min(row) < 0:
-                raise ValueError(f"ray {row_index + 1} has a negative coordinate")
-            # nonnegative entries: a 1 in the row's own column and a sum of 1
-            if (
-                row[free_columns[row_index]] != 1
-                or sum(map(row.__getitem__, free_columns)) != 1
-            ):
-                raise ValueError(
-                    f"ray {row_index + 1} is not a unit vector on the free columns"
-                )
+        for pivot, entries in self.pivots.items():
+            if not free.issuperset(entries) or min(entries.values(), default=1) < 1:
+                raise ValueError(f"pivot column {pivot} needs positive free entries, got {entries}")
 
     def column_order(self) -> tuple[FaceVariable, ...]:
         """All ``3(n-1)`` coordinates in canonical order."""
-        return tuple(
-            FaceVariable(side, k) for side in SIDES for k in range(1, self.n)
-        )
+        return _columns(self.n)
+
+    def _dense(self, zero, convert) -> Iterator[list]:
+        """Each ray as a list of its ``3(n-1)`` coordinates: one list, refilled per ray."""
+        nonzeros = [[(column, 1)] for column in self.free]
+        row_of = {column: r for r, column in enumerate(self.free)}
+        for pivot, entries in self.pivots.items():
+            for column, value in entries.items():
+                nonzeros[row_of[column]].append((pivot, value))
+        row = [zero] * (3 * (self.n - 1))
+        for entries in nonzeros:
+            for column, value in entries:
+                row[column] = convert(value)
+            yield row
+            for column, _ in entries:
+                row[column] = zero
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rays as tuples of ``3(n-1)`` coordinates, built on each access."""
+        return tuple(map(tuple, self._dense(0, int)))
+
+    def csv_lines(self) -> Iterator[str]:
+        """Header ``a1,..,c{n-1}``, then one ray per line; none at degree 1, which has no columns."""
+        if self.n > 1:
+            yield ",".join(map(str, self.column_order())) + "\n"
+            for row in self._dense("0", str):
+                yield ",".join(row) + "\n"
 
     def to_csv(self) -> str:
-        """Header ``a1,..,c{n-1}`` then one comma-separated ray per line.
-
-        Degree 1 has no coordinates and no rays, so its text is empty.
-        """
-        if self.n == 1:
-            return ""
-        lines = [",".join(str(var) for var in self.column_order())]
-        lines.extend(",".join(str(entry) for entry in row) for row in self.rows)
-        return "\n".join(lines) + "\n"
+        """The lines of :meth:`csv_lines` as one text."""
+        return "".join(self.csv_lines())
 
 
 def _checked_triple(w1: Perm, w2: Perm, w3: Perm) -> Triple:
     triple = (check_permutation(w1), check_permutation(w2), check_permutation(w3))
-    n = len(triple[0])
-    result = verify_decomposition(n, list(triple), allow_identity=True)
+    result = verify_decomposition(len(triple[0]), list(triple), allow_identity=True)
     if not result.ok:
         raise ValueError(
             f"the inversion sets do not partition the positive system: {result.detail}"
@@ -194,11 +198,8 @@ def _special(triple: Triple) -> list[tuple[Root, int, int]]:
             if i < j:
                 special.append(((i, j), t, k))
     special.sort()
-    assert len(special) == n - 1, (
-        f"degree {n} should contribute {n - 1} pivot roots, found {len(special)}"
-    )
-    pivots = {(t, k) for _, t, k in special}
-    assert len(pivots) == len(special), "pivot coordinates must be distinct"
+    # each (owner, k) occurs at most once, so the pivots are distinct
+    assert len(special) == n - 1, f"degree {n} gives {len(special)} pivot roots, not {n - 1}"
     return special
 
 
@@ -220,19 +221,19 @@ def special_roots(w1: Perm, w2: Perm, w3: Perm) -> tuple[Root, ...]:
     return tuple(root for root, _, _ in _special(_checked_triple(w1, w2, w3)))
 
 
-def _build_equations(triple: Triple) -> tuple[FaceEquation, ...]:
-    equations = []
+def _system(triple: Triple) -> list[tuple[Root, int, list[int]]]:
+    """The balance equations on column indices: ``(root, pivot, ascending rhs)``."""
+    m = len(triple[0]) - 1
+    system = []
     for (i, j), owner, k in _special(triple):
-        rhs: list[FaceVariable] = []
+        rhs: list[int] = []
         for u, w in enumerate(triple):
-            if u == owner:
-                continue
-            p, q = w[i - 1], w[j - 1]
-            assert p < q, "only the covering part may invert a special root"
-            rhs.extend(FaceVariable(SIDES[u], m) for m in range(p, q))
-        pivot = FaceVariable(SIDES[owner], k)
-        equations.append(FaceEquation((i, j), pivot, tuple(rhs)))
-    return tuple(equations)
+            if u != owner:
+                p, q = w[i - 1], w[j - 1]
+                assert p < q, "only the covering part may invert a special root"
+                rhs.extend(range(u * m + p - 1, u * m + q - 1))
+        system.append(((i, j), owner * m + k - 1, rhs))
+    return system
 
 
 def build_equations(w1: Perm, w2: Perm, w3: Perm) -> tuple[FaceEquation, ...]:
@@ -248,123 +249,120 @@ def build_equations(w1: Perm, w2: Perm, w3: Perm) -> tuple[FaceEquation, ...]:
     >>> [str(eq) for eq in build_equations((3, 2, 1), (1, 2, 3), (1, 2, 3))]
     ['a2 = b1 + c1', 'a1 = b2 + c2']
     """
-    return _build_equations(_checked_triple(w1, w2, w3))
+    triple = _checked_triple(w1, w2, w3)
+    columns = _columns(len(triple[0]))
+    return tuple(
+        FaceEquation(root, columns[pivot], tuple(columns[c] for c in rhs))
+        for root, pivot, rhs in _system(triple)
+    )
+
+
+def _solve(system: list[tuple[int, list[int]]]) -> dict[int, Counter[int]]:
+    """Each pivot's right-hand side with the pivots substituted out, multiplicity kept.
+
+    Pivots are solved in topological order; one never reached lies on a cycle.
+    """
+    rhs = dict(system)
+    waiting = {pivot: set(terms).intersection(rhs) for pivot, terms in rhs.items()}
+    users: dict[int, list[int]] = {pivot: [] for pivot in rhs}
+    for pivot, dependencies in waiting.items():
+        for dependency in dependencies:
+            users[dependency].append(pivot)
+    ready = [pivot for pivot, dependencies in waiting.items() if not dependencies]
+    solved: dict[int, Counter[int]] = {}
+    while ready:
+        pivot = ready.pop()
+        solved[pivot] = total = Counter()
+        for term in rhs[pivot]:
+            total.update(solved.get(term, (term,)))  # a solved pivot's counts, or one free term
+        for user in users[pivot]:
+            waiting[user].discard(pivot)
+            if not waiting[user]:
+                ready.append(user)
+    if len(solved) < len(rhs):
+        raise ValueError(
+            "pivot substitution did not reach a fixed point: "
+            "the pivot dependencies contain a cycle"
+        )
+    return solved
 
 
 def eliminate(equations: tuple[FaceEquation, ...]) -> tuple[FaceEquation, ...]:
     """Substitute pivots out of every right-hand side, preserving multiplicity.
 
-    Repeats whole-system substitution until no pivot appears on any
-    right-hand side; for a valid triple the dependencies are acyclic, so the
-    fixed point arrives within ``n - 1`` rounds.  The round count is capped
-    at the square of the system size, and hitting the cap reports a
-    dependency cycle (which only malformed hand-built systems can create).
-    An already-clean system is returned unchanged.
+    The variables are numbered in canonical order and solved as the rays
+    are.  A repeated pivot and a dependency cycle (which only malformed
+    systems have) are reported.  An already-clean system comes back equal.
 
     >>> eqs = build_equations((3, 2, 1), (1, 2, 3), (1, 2, 3))
     >>> eliminate(eqs) == eqs
     True
     """
-    expressions: dict[FaceVariable, Counter[FaceVariable]] = {}
-    for equation in equations:
-        if equation.pivot in expressions:
-            raise ValueError(f"duplicate pivot {equation.pivot}")
-        expressions[equation.pivot] = Counter(equation.rhs)
-    for _ in range(max(1, len(equations)) ** 2):
-        changed = False
-        for pivot, expr in list(expressions.items()):
-            hits = [var for var in expr if var in expressions]
-            if not hits:
-                continue
-            changed = True
-            resolved = Counter(
-                {var: c for var, c in expr.items() if var not in expressions}
-            )
-            for var in hits:
-                for free_var, coefficient in expressions[var].items():
-                    resolved[free_var] += expr[var] * coefficient
-            expressions[pivot] = resolved
-        if not changed:
-            break
-    else:
-        raise ValueError(
-            "pivot substitution did not reach a fixed point: "
-            "the pivot dependencies contain a cycle"
-        )
-    return tuple(
-        FaceEquation(
-            equation.source_root,
-            equation.pivot,
-            tuple(sorted(expressions[equation.pivot].elements())),
-        )
-        for equation in equations
-    )
+    pivots = Counter(equation.pivot for equation in equations)
+    for pivot, count in pivots.items():
+        if count > 1:
+            raise ValueError(f"duplicate pivot {pivot}")
+    variables = sorted(set(pivots).union(*(equation.rhs for equation in equations)))
+    number = {var: k for k, var in enumerate(variables)}
+    solved = _solve([(number[eq.pivot], [number[var] for var in eq.rhs]) for eq in equations])
+    rhs = [tuple(map(variables.__getitem__, solved[number[eq.pivot]].elements())) for eq in equations]
+    return tuple(FaceEquation(eq.source_root, eq.pivot, terms) for eq, terms in zip(equations, rhs))
 
 
-def _rays(n: int, equations: tuple[FaceEquation, ...]) -> RayMatrix:
-    """The ray matrix of an equation system, filled by column index.
-
-    Each free column gets a zero row with its unit entry; each solved
-    equation then writes its right-hand-side counts into its pivot's column.
-    """
-    offset = {side: s * (n - 1) - 1 for s, side in enumerate(SIDES)}
-
-    def column(var: FaceVariable) -> int:
-        return offset[var.side] + var.index
-
-    columns = tuple(FaceVariable(side, k) for side in SIDES for k in range(1, n))
-    solved = eliminate(equations)
-    pivots = {column(eq.pivot) for eq in solved}
-    free = [col for col in range(len(columns)) if col not in pivots]
-    row_of = {col: r for r, col in enumerate(free)}
-    rows = [[0] * len(columns) for _ in free]
-    for r, col in enumerate(free):
-        rows[r][col] = 1
-    for eq in solved:
-        pivot = column(eq.pivot)
-        for var, count in Counter(eq.rhs).items():
-            rows[row_of[column(var)]][pivot] = count
-    return RayMatrix(
-        n=n,
-        free=tuple(columns[col] for col in free),
-        rows=tuple(tuple(row) for row in rows),
-    )
+def _ray_matrix(n: int, system: list[tuple[Root, int, list[int]]]) -> RayMatrix:
+    solved = _solve([(pivot, rhs) for _, pivot, rhs in system])
+    free = tuple(column for column in range(3 * (n - 1)) if column not in solved)
+    return RayMatrix(n, free, {pivot: dict(terms) for pivot, terms in solved.items()})
 
 
 def rays(w1: Perm, w2: Perm, w3: Perm) -> RayMatrix:
     """The ``2(n-1)`` generating rays of the face selected by the triple.
 
     Each ray sets one free coordinate to 1, the other free coordinates to 0,
-    and evaluates the pivots from the eliminated system.  Rows follow the
+    and evaluates the pivots from the solved system.  Rows follow the
     canonical free-coordinate order (sides ``A``, ``B``, ``C``, ascending
-    index).  The triple is checked once, and each pivot's column is written
-    from its solved right-hand side rather than looked up row by row.
+    index).  The triple is checked once and solved on column indices.
 
     >>> rays((2, 1), (1, 2), (1, 2)).rows
     ((1, 1, 0), (1, 0, 1))
     """
     triple = _checked_triple(w1, w2, w3)
-    return _rays(len(triple[0]), _build_equations(triple))
+    return _ray_matrix(len(triple[0]), _system(triple))
 
 
-def rays_json(w1: Perm, w2: Perm, w3: Perm) -> str:
-    """JSON object ``{n, free_order, rays, equations}`` for the triple.
+def rays_json(w1: Perm, w2: Perm, w3: Perm) -> Iterator[str]:
+    """The JSON object ``{n, free_order, rays, equations}`` for the triple, in pieces.
 
-    ``equations`` lists the defining balance equations before elimination;
-    ``rays`` matches :meth:`RayMatrix.to_csv` row for row.  Output is
-    deterministic, so identical inputs give identical bytes.  The triple is
-    checked and its equations built once, for both lists.
+    The pieces join to ``json.dumps(payload, indent=2)`` and a newline, one
+    ray per piece, so the text is never held whole.  ``equations`` lists
+    the defining balance equations before elimination; ``rays`` matches
+    :meth:`RayMatrix.csv_lines` row for row.  The triple is checked and the
+    system solved in this call, so a refused triple raises before any text.
+
+    >>> json.loads("".join(rays_json((2, 1), (1, 2), (1, 2))))["rays"]
+    [[1, 1, 0], [1, 0, 1]]
     """
     triple = _checked_triple(w1, w2, w3)
-    equations = _build_equations(triple)
-    matrix = _rays(len(triple[0]), equations)
-    payload = {
-        "n": matrix.n,
-        "free_order": [str(var) for var in matrix.free],
-        "rays": [list(row) for row in matrix.rows],
-        "equations": [str(eq) for eq in equations],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    system = _system(triple)
+    return _json_lines(_ray_matrix(len(triple[0]), system), system)
+
+
+def _json_list(key: str, strings: list[str]) -> str:
+    """The member ``"key": [strings]`` of a top-level object in ``json.dumps(indent=2)`` layout."""
+    items = ",\n    ".join(map(json.dumps, strings))
+    return f'  "{key}": [' + (f"\n    {items}\n  ]" if strings else "]")
+
+
+def _json_lines(matrix: RayMatrix, system: list[tuple[Root, int, list[int]]]) -> Iterator[str]:
+    names = list(map(str, matrix.column_order()))
+    free_order = _json_list("free_order", [names[column] for column in matrix.free])
+    yield f'{{\n  "n": {matrix.n},\n{free_order},\n  "rays": ['
+    separator = "\n    ["
+    for row in matrix._dense("0", str):
+        yield separator + "\n      " + ",\n      ".join(row) + "\n    ]"
+        separator = ",\n    ["
+    equations = [f"{names[p]} = {_format_terms(rhs, names.__getitem__)}" for _, p, rhs in system]
+    yield ("]" if matrix.n == 1 else "\n  ]") + f",\n{_json_list('equations', equations)}\n}}\n"
 
 
 def integer_rank(rows: tuple[tuple[int, ...], ...]) -> int:

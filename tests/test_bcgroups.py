@@ -486,6 +486,51 @@ def test_verify_bc_builds_no_roots_on_a_valid_input(monkeypatch, family):
     assert (built, walks) == ([], [])
 
 
+@pytest.mark.parametrize("family", (TYPE_B, TYPE_C))
+def test_verify_bc_builds_one_root_on_an_invalid_input(monkeypatch, family):
+    n = 300
+    rng = random.Random(300)
+    sigma = SignedPermutation(
+        tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), n))
+    )
+    complement = bc_compose(bc_longest(n), sigma).images
+    flipped = SignedPermutation((*complement[:-1], -complement[-1]))
+    built, walks = [], []
+    real_post_init = BCRoot.__post_init__
+    real_positive_roots = bcgroups.bc_positive_roots
+
+    def counting_post_init(self):
+        built.append(self)
+        real_post_init(self)
+
+    def counting_positive_roots(*args):
+        walks.append(args)
+        return real_positive_roots(*args)
+
+    monkeypatch.setattr(BCRoot, "__post_init__", counting_post_init)
+    monkeypatch.setattr(bcgroups, "bc_positive_roots", counting_positive_roots)
+    # an overlap, a gap, and both at the last rank's sign
+    for parts in ([sigma, sigma], [sigma], [sigma, flipped]):
+        built.clear()
+        assert not verify_bc_decomposition(family, parts).ok
+        assert (len(built), walks) == (1, [])
+
+
+@pytest.mark.parametrize("family", (TYPE_B, TYPE_C))
+def test_first_fault_is_the_first_flagged_root_of_the_root_order(family):
+    # faults flag whole fibers, as the embeddings' rows do
+    rng = random.Random(8)
+    for n in range(1, 7):
+        order = list(bcgroups._representatives(family, n))
+        for _ in range(40):
+            faults = [0] * bcgroups.ambient_degree(family, n)
+            for gamma, _, _ in rng.sample(order, rng.randint(1, min(3, len(order)))):
+                for a, b in fiber(family, n, gamma):
+                    faults[a - 1] |= 1 << (b - 1)
+            expected = next((g, i, j) for g, i, j in order if faults[i] >> j & 1)
+            assert bcgroups._first_in_root_order(family, n, faults) == expected
+
+
 # ---------------------------------------------------------------------------
 # simplicity
 

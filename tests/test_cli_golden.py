@@ -35,7 +35,7 @@ GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
 
 
 class _Digest:
-    """A text stream that keeps only the SHA-256 of the UTF-8 text written to it.
+    """A text stream that keeps only the SHA-256 and the length of the text written to it.
 
     The degree-1000 ``rays`` outputs run to tens of megabytes, which a
     ``StringIO`` would hold whole.
@@ -43,9 +43,11 @@ class _Digest:
 
     def __init__(self) -> None:
         self.sha = hashlib.sha256()
+        self.size = 0
 
     def write(self, text: str) -> int:
         self.sha.update(text.encode("utf-8"))
+        self.size += len(text)
         return len(text)
 
     def flush(self) -> None:

@@ -152,6 +152,23 @@ def test_simple_form_checks_a_simple_skeleton_once(monkeypatch):
     assert calls == [4]
 
 
+def test_simple_form_validates_its_expression_once(monkeypatch):
+    # SimpleForm's constructor validates skeleton and parts; the self-check
+    # that inflates them back into sigma does not validate them again
+    calls = []
+    real_checked_inflation = inflation._checked_inflation
+
+    def counting_checked_inflation(skeleton, parts):
+        calls.append(len(skeleton))
+        return real_checked_inflation(skeleton, parts)
+
+    monkeypatch.setattr(inflation, "_checked_inflation", counting_checked_inflation)
+    assert str(simple_form((5, 3, 4, 8, 1, 2, 6, 7))) == "(2,4,1,3)[(3,1,2),(1),(1,2),(1,2)]"
+    assert calls == [4, 4]  # the constructor, then str's format_inflation
+    assert simple_form((2, 4, 1, 3)).permutation() == (2, 4, 1, 3)
+    assert calls == [4, 4, 4]
+
+
 def test_simple_form_walks_from_part_starts_only(monkeypatch):
     # (2,4,1,3) inflated by four parts of 50: one walk per part over sigma (at
     # most 4 x 200 positions, where an all-windows scan reads ~19,900 windows)

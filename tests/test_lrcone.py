@@ -26,6 +26,7 @@ from rootdec.lrcone import (
     special_roots,
 )
 from rootdec.permcore import complement_decomposition, compose, identity, longest
+from test_cli_golden import _random_triple
 
 W1 = (5, 3, 4, 8, 1, 2, 6, 7)
 W2 = (4, 5, 6, 1, 7, 8, 3, 2)
@@ -77,16 +78,27 @@ def test_face_equation_validation():
 
 
 def test_ray_matrix_validation():
-    good = RayMatrix(n=2, free=(b(1), c(1)), rows=((1, 1, 0), (1, 0, 1)))
+    good = RayMatrix(n=2, free=(1, 2), pivots={0: {1: 1, 2: 1}})
     assert good.column_order() == (a(1), b(1), c(1))
-    with pytest.raises(ValueError, match="free coordinates"):
-        RayMatrix(n=2, free=(b(1),), rows=((1, 1, 0),))
-    with pytest.raises(ValueError, match="has 2 coordinates"):
-        RayMatrix(n=2, free=(b(1), c(1)), rows=((1, 1), (1, 0)))
-    with pytest.raises(ValueError, match="negative"):
-        RayMatrix(n=2, free=(b(1), c(1)), rows=((1, 1, 0), (-1, 0, 1)))
-    with pytest.raises(ValueError, match="unit vector"):
-        RayMatrix(n=2, free=(b(1), c(1)), rows=((1, 1, 1), (1, 0, 1)))
+    assert good.rows == ((1, 1, 0), (1, 0, 1))
+    assert RayMatrix(n=1, free=(), pivots={}).rows == ()
+    with pytest.raises(ValueError, match="positive"):
+        RayMatrix(n=0, free=(), pivots={})
+    shape = "expected 2 ascending free columns and 1 pivot columns, naming each of the 3"
+    for free, pivots in [
+        ((1,), {0: {1: 1}}),  # too few free columns
+        ((1, 2), {0: {1: 1}, 3: {}}),  # too many pivots
+        ((2, 1), {0: {1: 1}}),  # not ascending
+        ((1, 1), {0: {1: 1}}),  # repeated
+        ((1, 3), {0: {1: 1}}),  # outside the columns
+        ((0, 1), {0: {1: 1}}),  # free and pivot at once
+    ]:
+        with pytest.raises(ValueError, match=shape):
+            RayMatrix(n=2, free=free, pivots=pivots)
+    with pytest.raises(ValueError, match="needs positive free entries, got {0: 1}"):
+        RayMatrix(n=2, free=(1, 2), pivots={0: {0: 1}})
+    with pytest.raises(ValueError, match="needs positive free entries, got {1: 1, 2: -1}"):
+        RayMatrix(n=2, free=(1, 2), pivots={0: {1: 1, 2: -1}})
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +215,8 @@ def test_eliminate_rejects_duplicate_pivots():
 
 def test_rays_degree_eight_matches_golden_file():
     matrix = rays(W1, W2, W3)
-    assert [str(v) for v in matrix.free] == [
+    columns = matrix.column_order()
+    assert [str(columns[k]) for k in matrix.free] == [
         "a1", "a3", "a5", "a6",
         "b1", "b4", "b5", "b6", "b7",
         "c1", "c3", "c4", "c6", "c7",
@@ -215,7 +228,7 @@ def test_rays_row_for_tenth_free_coordinate():
     # the b3 entry is forced to 1: the defining balance equation
     # b3 = a5 + c1 + c2 + c3 + c4 + c5 + c6 evaluates to exactly the c1 value
     matrix = rays(W1, W2, W3)
-    assert str(matrix.free[9]) == "c1"
+    assert str(matrix.column_order()[matrix.free[9]]) == "c1"
     assert matrix.rows[9] == (
         0, 0, 0, 1, 0, 0, 0,
         0, 0, 1, 0, 0, 0, 0,
@@ -247,14 +260,59 @@ def test_rays_csv_shape():
 
 
 def test_rays_json_round_trip():
-    first = rays_json(W1, W2, W3)
-    assert first == rays_json(W1, W2, W3)
+    first = "".join(rays_json(W1, W2, W3))
+    assert first == "".join(rays_json(W1, W2, W3))
     payload = json.loads(first)
     assert payload["n"] == 8
     assert payload["free_order"][9] == "c1"
     assert payload["rays"] == [list(row) for row in rays(W1, W2, W3).rows]
     assert "a2 = b5 + b6 + b7 + c3 + c4" in payload["equations"]
     assert len(payload["equations"]) == 7
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 40])
+def test_rays_json_is_the_indented_dump_of_its_payload(n):
+    triple = _random_triple(random.Random(n), n)
+    text = "".join(rays_json(*triple))
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2) + "\n"
+    assert payload["rays"] == [list(row) for row in rays(*triple).rows]
+    assert payload["equations"] == [str(eq) for eq in build_equations(*triple)]
+
+
+def test_rays_json_refuses_a_triple_before_any_text():
+    with pytest.raises(ValueError, match="do not partition"):
+        rays_json((2, 1, 3), (2, 1, 3), (1, 2, 3))
+
+
+def _back_substituted_rows(n, equations):
+    """The rays by dense back-substitution over the ray index.
+
+    Each coordinate gets its list of values on the rays: a free coordinate
+    its unit list, a pivot the entrywise sum of its right-hand side's lists
+    once all of those are known.  Rows then read the lists across.
+    """
+    order = [FaceVariable(side, k) for side in SIDES for k in range(1, n)]
+    rhs = {eq.pivot: eq.rhs for eq in equations}
+    free = [var for var in order if var not in rhs]
+    values = {var: [int(var == other) for other in free] for var in free}
+    while len(values) < len(order):
+        known = len(values)
+        for pivot, terms in rhs.items():
+            if pivot not in values and all(var in values for var in terms):
+                values[pivot] = [
+                    sum(values[var][r] for var in terms) for r in range(len(free))
+                ]
+        assert len(values) > known, "the pivot dependencies contain a cycle"
+    return tuple(tuple(values[var][r] for var in order) for r in range(len(free)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 40, 100, 200])
+def test_rays_match_a_dense_back_substitution(n):
+    for seed in range(3 if n < 100 else 1):
+        triple = _random_triple(random.Random(f"{n}:{seed}"), n)
+        expected = _back_substituted_rows(n, build_equations(*triple))
+        assert rays(*triple).rows == expected
 
 
 # ---------------------------------------------------------------------------
