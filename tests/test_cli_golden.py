@@ -3,6 +3,8 @@
 ``golden/cli_digests.json`` lists ``cli.main`` argument vectors, each with
 the exit code and the SHA-256 digests of stdout and stderr recorded for it:
 ``enumerate`` at n <= 6 in every mode (in every format up to n = 5),
+``--irreducible`` with ``--maximal`` at n = 4..7 and with ``--parts 2|3``
+(padded or not) at n <= 6, ``enumerate --n 8 --irreducible`` in every format,
 ``simple-form`` on seeded degree-40 permutations (simple, plus- and
 minus-decomposable, and inflations of a simple skeleton) and on degree-200
 shuffles and inflations of (2,4,1,3) and ``exceptional(2, 3)``, ``verify`` on
@@ -76,6 +78,22 @@ def _enumerate_calls() -> list[list[str]]:
         for n in range(1, 7)
         for mode in modes
         for fmt in (("text", "csv", "json") if n < 6 else ("text",))
+    ]
+
+
+def _irreducible_calls() -> list[list[str]]:
+    # --irreducible combined with --maximal or --parts, and the degree-8
+    # listing in every format (the largest the brute-force bound allows)
+    calls = [["enumerate", "--n", str(n), "--maximal", "--irreducible"] for n in range(4, 8)]
+    calls += [
+        ["enumerate", "--n", str(n), "--irreducible", "--parts", str(r), *pad]
+        for n in range(1, 7)
+        for r in (2, 3)
+        for pad in ([], ["--allow-identity"])
+    ]
+    return calls + [
+        ["enumerate", "--n", "8", "--irreducible", "--format", fmt]
+        for fmt in ("text", "csv", "json")
     ]
 
 
@@ -279,7 +297,7 @@ def _usage_error_calls() -> list[list[str]]:
 
 def record() -> list[dict[str, object]]:
     calls = _enumerate_calls() + _simple_form_calls() + _verify_calls() + _count_calls()
-    calls += _series_calls() + _rays_calls() + _usage_error_calls()
+    calls += _series_calls() + _rays_calls() + _usage_error_calls() + _irreducible_calls()
     return [_call(argv) for argv in calls]
 
 
