@@ -13,8 +13,9 @@ invocations give identical bytes.
 
 A ``--config FILE`` of ``key = value`` lines may set ``brute_force_bound``
 (degree ceiling for exhaustive enumeration, 1..8, default 8; a larger value
-is refused when the file is read, because the enumeration scans all n!
-permutations) and ``series_order`` (default order for
+is refused when the file is read, because the search behind the
+unrestricted and ``--parts`` listings scans all n! permutations) and
+``series_order`` (default order for
 ``series``, default 40, at most 200 like ``--order``).
 """
 
@@ -39,10 +40,11 @@ from .bcgroups import (
 from .decompose import (
     DEFAULT_ENUMERATION_BOUND,
     FAMILIES,
+    _form_is_irreducible,
     count_structural,
     enumerate_decompositions,
+    generate_irreducible,
     inversion_count,
-    is_irreducible_structural,
     verify_decomposition,
 )
 from .genseries import (
@@ -56,7 +58,7 @@ from .genseries import (
     simple_pairs_A,
 )
 from .inflation import simple_form
-from .permcore import format_permutation, parse_permutation
+from .permcore import format_permutation, identity, parse_permutation
 
 OUTPUT_FORMATS = ("text", "csv", "json")
 DEFAULT_SERIES_ORDER = 40
@@ -93,8 +95,9 @@ class RunConfig:
         for name in CONFIG_KEYS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        # enumeration scans all n! permutations: `--parts 2` takes 1.2 s at
-        # degree 8 and 13.5 s at degree 9 in process on 2 cores, hours at 12
+        # the unrestricted and --parts listings search all n! permutations:
+        # `--parts 2` takes 1.2 s at degree 8 and 13.5 s at degree 9 in
+        # process on 2 cores, hours at 12
         if self.brute_force_bound > DEFAULT_ENUMERATION_BOUND:
             raise ValueError(
                 f"brute_force_bound must be at most {DEFAULT_ENUMERATION_BOUND}, "
@@ -267,13 +270,17 @@ def _emit_indexed(fmt: str, label: str, column: str, name: str, start: int, valu
 
 
 def _part_report(index: int, text: str, inversions: int, sigma) -> dict[str, object]:
-    """One part's row; the last two columns treat ``sigma`` (a B/C part's embedding) as type A."""
+    """One part's row; the last two columns treat ``sigma`` (a B/C part's embedding) as type A.
+
+    Both read one simple form of ``sigma``.
+    """
+    form = simple_form(sigma) if len(sigma) >= 2 else None
     return {
         "index": index,
         "permutation": text,
         "inversions": inversions,
-        "irreducible": is_irreducible_structural(sigma),
-        "simple_form": str(simple_form(sigma)) if len(sigma) >= 2 else "-",
+        "irreducible": sigma == identity(len(sigma)) or _form_is_irreducible(form),
+        "simple_form": str(form) if form else "-",
     }
 
 
@@ -351,16 +358,17 @@ def _cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
             1, f"degree {args.n} exceeds the brute-force bound {config.brute_force_bound}"
         )
     with _errors(2):
-        found = [
-            str(dec)
-            for dec in enumerate_decompositions(
+        if args.irreducible and args.parts is None and not args.maximal:
+            decompositions = generate_irreducible(args.n)
+        else:
+            decompositions = enumerate_decompositions(
                 args.n,
                 args.parts,
                 irreducible_only=args.irreducible,
                 allow_identity=args.allow_identity,
                 maximal=args.maximal,
             )
-        ]
+        found = [str(dec) for dec in decompositions]
     _emit(
         args.format,
         {"n": args.n, "count": len(found), "decompositions": found},

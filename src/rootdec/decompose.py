@@ -4,7 +4,8 @@ A decomposition writes every positive root exactly once across a collection
 of permutations' inversion sets.  This module verifies candidate
 decompositions, tests irreducibility of single inversion sets (both by brute
 force and structurally through the simple form), enumerates decompositions
-exhaustively for small degrees, and counts them for large degrees with
+exhaustively for small degrees (and builds the irreducible ones from the
+paper's description), and counts them for large degrees with
 recursive dynamic programs that never enumerate.
 
 The structural counts deliberately share no code with :mod:`rootdec.genseries`:
@@ -33,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import AbstractSet, Hashable, Iterable, Iterator, TypeVar
 
-from .inflation import IDENTITY, REVERSAL, SIMPLE, simple_form
+from .inflation import IDENTITY, REVERSAL, SIMPLE, SimpleForm, inflate, is_simple, simple_form
 from .permcore import (
     Perm,
     Root,
@@ -58,6 +59,7 @@ __all__ = [
     "count_structural",
     "enumerate_decompositions",
     "exact_covers",
+    "generate_irreducible",
     "inversion_count",
     "is_irreducible",
     "is_irreducible_structural",
@@ -76,6 +78,9 @@ FAMILIES = (
     "SIMPLE_PAIRS_BC",
 )
 
+# The unrestricted and fixed-part-count searches take all n! permutations as
+# candidates (`--parts 2` took 13.5 s at degree 9 in process on 2 cores);
+# the irreducible and maximal ones list their candidates directly.
 DEFAULT_ENUMERATION_BOUND = 8
 # Measured in process on a 2-core machine: every family takes at most 0.03 s
 # at n_max = 64, while at 128 all but the two Catalan ones take 0.07-0.22 s.
@@ -94,24 +99,25 @@ class Decomposition:
 
     Parts are stored sorted lexicographically by one-line notation; identity
     parts may repeat (a multiset), nonidentity parts never can since their
-    inversion sets would overlap.  Construction validates the partition
-    property through :func:`verify_decomposition` and raises ``ValueError``
-    with its detail, so every instance is a genuine decomposition.
+    inversion sets would overlap.  Construction checks each part once and
+    runs the checks of :func:`verify_decomposition` on them, raising
+    ``ValueError`` with its detail, so every instance is a genuine
+    decomposition.
     """
 
     n: int
     parts: tuple[Perm, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "parts", tuple(sorted(check_permutation(p) for p in self.parts))
-        )
-        result = verify_decomposition(self.n, self.parts)
-        if not result:
-            raise ValueError(result.detail)
+        parts = tuple(sorted(check_permutation(p) for p in self.parts))
+        object.__setattr__(self, "parts", parts)
+        fault = _partition_fault(self.n, parts, allow_identity=True)
+        if fault:
+            raise ValueError(fault)
 
     def __str__(self) -> str:
-        return " | ".join(format_permutation(p) for p in self.parts)
+        # the parts were checked on construction
+        return " | ".join(" ".join(map(str, p)) for p in self.parts)
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -223,6 +229,24 @@ def _cover_fault(
     return None
 
 
+def _partition_fault(n: int, parts: Iterable[Perm], allow_identity: bool) -> str | None:
+    """The degree, cover and identity checks of :func:`verify_decomposition`.
+
+    ``parts`` yields checked permutations.  It is read after the n < 1
+    check, so a lazy ``map(check_permutation, ...)`` keeps that order.
+    """
+    if n < 1:
+        raise ValueError(f"degree must be at least 1, got {n}")
+    parts = list(parts)
+    for part in parts:
+        if len(part) != n:
+            raise ValueError(
+                f"degree mismatch: expected {n}, got part"
+                f" {format_permutation(part)} of degree {len(part)}"
+            )
+    return _cover_fault(parts, n, allow_identity)
+
+
 def verify_decomposition(
     n: int, perms: Iterable[Perm], allow_identity: bool = True
 ) -> VerifyResult:
@@ -240,16 +264,7 @@ def verify_decomposition(
     >>> verify_decomposition(3, [(2, 1, 3)]).detail
     'root (1, 3) not covered by any part'
     """
-    if n < 1:
-        raise ValueError(f"degree must be at least 1, got {n}")
-    parts = [check_permutation(p) for p in perms]
-    for part in parts:
-        if len(part) != n:
-            raise ValueError(
-                f"degree mismatch: expected {n}, got part"
-                f" {format_permutation(part)} of degree {len(part)}"
-            )
-    fault = _cover_fault(parts, n, allow_identity)
+    fault = _partition_fault(n, map(check_permutation, perms), allow_identity)
     valid = f"valid decomposition of the degree-{n} positive system"
     return VerifyResult(not fault, fault or valid)
 
@@ -318,9 +333,11 @@ def is_irreducible_structural(sigma: Perm) -> bool:
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
     """
     sigma = check_permutation(sigma)
-    if sigma == identity(len(sigma)):
-        return True
-    form = simple_form(sigma)
+    return sigma == identity(len(sigma)) or _form_is_irreducible(simple_form(sigma))
+
+
+def _form_is_irreducible(form: SimpleForm) -> bool:
+    """:func:`is_irreducible_structural` of a nonidentity permutation, given its simple form."""
     if form.skeleton_kind == SIMPLE:
         return all(part == identity(len(part)) for part in form.parts)
     if form.skeleton_kind == REVERSAL:
@@ -335,7 +352,85 @@ def is_irreducible_structural(sigma: Perm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration
+# candidate parts and skeletons, listed directly
+
+
+def _compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
+    """The ordered splits of ``total`` into ``length`` positive sizes."""
+    for cuts in itertools.combinations(range(1, total), length - 1):
+        yield tuple(b - a for a, b in itertools.pairwise((0, *cuts, total)))
+
+
+def _shifted(part: Perm, before: int, degree: int) -> Perm:
+    """id_before ⊕ part ⊕ id: ``part`` moved to positions ``before + 1`` onward."""
+    after = range(before + len(part) + 1, degree + 1)
+    return (*range(1, before + 1), *(before + v for v in part), *after)
+
+
+def _skeletons(m: int) -> list[tuple[Perm, ...]]:
+    """The skeletons of degree ``m`` that irreducible decompositions inflate.
+
+    (2 1) at m = 2, and at m >= 4 each mirror pair (σ, w0 σ) of simple
+    permutations with σ < w0 σ, where w0 σ(i) = m + 1 - σ(i).  The simple
+    permutations are a fixed share of all m! (Albert, Atkinson and Klazar,
+    J. Integer Seq. 6, 2003), so they are listed by brute force.
+
+    >>> _skeletons(2), _skeletons(3)
+    ([((2, 1),)], [])
+    >>> _skeletons(4)
+    [((2, 4, 1, 3), (3, 1, 4, 2))]
+    """
+    if m == 2:
+        return [((2, 1),)]
+    pairs = []
+    for sigma in itertools.permutations(range(1, m + 1)):
+        mirror = tuple(m + 1 - v for v in sigma)
+        if sigma < mirror and is_simple(sigma):
+            pairs.append((sigma, mirror))
+    return pairs
+
+
+def _irreducible_permutations(n: int) -> Iterator[Perm]:
+    """The nonidentity irreducible permutations of degree ``n``.
+
+    Each is id_a ⊕ S[id_k1, ..., id_km] ⊕ id_b for exactly one skeleton
+    member S of degree m and one choice of a, b and the sizes k, which is
+    :func:`is_irreducible_structural`'s description read as a list.
+
+    >>> sorted(_irreducible_permutations(3))
+    [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
+    """
+    for m in range(2, n + 1):
+        for skeleton in _skeletons(m):
+            for member in skeleton:
+                for total in range(m, n + 1):
+                    for sizes in _compositions(total, m):
+                        core = inflate(member, [identity(k) for k in sizes])
+                        for before in range(n - total + 1):
+                            yield _shifted(core, before, n)
+
+
+def _one_descent_permutations(n: int) -> Iterator[Perm]:
+    """The 2^n - n - 1 permutations of degree ``n`` with exactly one descent.
+
+    A maximal part holds one simple root, and the simple roots of an
+    inversion set are the permutation's descents.  Each such permutation
+    is an increasing run on a value set S followed by one on the rest,
+    with max S above the least of the rest.
+
+    >>> list(_one_descent_permutations(3))
+    [(2, 1, 3), (3, 1, 2), (1, 3, 2), (2, 3, 1)]
+    """
+    values = range(1, n + 1)
+    for size in range(1, n):
+        for first in itertools.combinations(values, size):
+            rest = [v for v in values if v not in first]
+            if first[-1] > rest[0]:
+                yield (*first, *rest)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive enumeration and construction
 
 
 def exact_covers(
@@ -451,11 +546,15 @@ def enumerate_decompositions(
     ``r`` fixes the part count (multiset size); identity parts only pad out
     a fixed ``r`` and only when ``allow_identity`` is set.  ``maximal``
     means r = n-1 nonempty parts, equivalently one simple root per part.
-    Degrees above :data:`DEFAULT_ENUMERATION_BOUND` are refused up front,
-    because enumeration scans all n! inversion sets.
+    Degrees above :data:`DEFAULT_ENUMERATION_BOUND` are refused up front.
 
-    The search is :func:`exact_covers` over all nonidentity permutations
-    that pass the filters, so each decomposition is found exactly once.
+    The search is :func:`exact_covers` over the candidate parts, so each
+    decomposition is found exactly once.  The candidates are listed
+    directly: with ``maximal`` the 2^n - n - 1 permutations with one
+    descent (those also irreducible when ``irreducible_only`` is set), with
+    ``irreducible_only`` alone the nonidentity irreducible permutations
+    (:func:`_irreducible_permutations`), and otherwise all n! - 1
+    nonidentity permutations.
 
     >>> [str(d) for d in enumerate_decompositions(3, irreducible_only=True)]
     ['1 3 2 | 3 1 2', '2 1 3 | 2 3 1']
@@ -479,27 +578,67 @@ def enumerate_decompositions(
     if allow_identity and r is None:
         raise ValueError("padding with identity parts needs a fixed part count r")
 
-    simple = simple_roots(n)
-
-    def parts() -> Iterator[tuple[Perm, frozenset[Root]]]:
-        # a generator, so the search keeps only each part's bitmask
-        for perm in itertools.permutations(range(1, n + 1)):
-            # a maximal part holds one simple root, and the simple roots
-            # of an inversion set are the permutation's descents
-            if maximal and sum(a > b for a, b in zip(perm, perm[1:])) != 1:
-                continue
-            inv = inversion_set(perm).roots
-            if not inv:
-                continue
-            if irreducible_only and not is_irreducible_structural(perm):
-                continue
-            yield perm, inv
+    if maximal:
+        candidates = _one_descent_permutations(n)
+        if irreducible_only:
+            candidates = filter(is_irreducible_structural, candidates)
+    elif irreducible_only:
+        candidates = _irreducible_permutations(n)
+    else:
+        candidates = itertools.permutations(range(1, n + 1))
+    # a generator, so the search keeps only each part's bitmask
+    parts = ((perm, inv) for perm in candidates if (inv := inversion_set(perm).roots))
 
     results = []
-    for cover in exact_covers(all_roots(n), simple, parts(), r, pad=allow_identity):
+    for cover in exact_covers(all_roots(n), simple_roots(n), parts, r, pad=allow_identity):
         if r is not None:
             cover += (identity(n),) * (r - len(cover))
         results.append(Decomposition(n, cover))
+    results.sort(key=lambda d: d.parts)
+    yield from results
+
+
+def generate_irreducible(n: int) -> Iterator[Decomposition]:
+    """Yield every decomposition into irreducible parts, in canonical order.
+
+    The same decompositions as ``enumerate_decompositions(n,
+    irreducible_only=True)``, built from the paper's description instead of
+    searched for.  At degree n > 1 each one is a skeleton (see
+    :func:`_skeletons`) of some degree m, inflated by identity blocks of
+    sizes k1..km that sum to n, together with one irreducible decomposition
+    of degree ka in each slot a, shifted into place; a degree-1 slot adds
+    no part.  Hence a(x) = x + sum_m s_m a(x)^m, as
+    :func:`count_structural` counts them.  Degrees above
+    :data:`DEFAULT_ENUMERATION_BOUND` are refused up front.
+
+    >>> [str(d) for d in generate_irreducible(3)]
+    ['1 3 2 | 3 1 2', '2 1 3 | 2 3 1']
+    >>> [d.parts for d in generate_irreducible(1)]
+    [()]
+    """
+    if n < 1:
+        raise ValueError(f"degree must be positive, got {n}")
+    if n > DEFAULT_ENUMERATION_BOUND:
+        raise ValueError(f"degree {n} exceeds the brute-force bound {DEFAULT_ENUMERATION_BOUND}")
+    skeletons = {m: _skeletons(m) for m in range(2, n + 1)}
+    # found[k]: the part tuples of the irreducible decompositions of degree k
+    found: dict[int, list[tuple[Perm, ...]]] = {1: [()]}
+    for k in range(2, n + 1):
+        found[k] = []
+        for m in range(2, k + 1):
+            for sizes in _compositions(k, m):
+                starts = itertools.accumulate(sizes[:-1], initial=0)
+                slots = [
+                    [[_shifted(part, start, k) for part in parts] for parts in found[size]]
+                    for start, size in zip(starts, sizes)
+                    if size > 1
+                ]
+                blocks = [identity(size) for size in sizes]
+                for skeleton in skeletons[m]:
+                    frame = [inflate(member, blocks) for member in skeleton]
+                    for filling in itertools.product(*slots):
+                        found[k].append((*frame, *itertools.chain.from_iterable(filling)))
+    results = [Decomposition(n, parts) for parts in found[n]]
     results.sort(key=lambda d: d.parts)
     yield from results
 

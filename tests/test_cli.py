@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootdec import cli, lrcone
+from rootdec import cli, decompose, inflation, lrcone
 from rootdec.cli import (
     MAX_RAYS_DEGREE,
     MAX_SERIES_ORDER,
@@ -301,6 +301,41 @@ def test_enumerate_bound_and_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "enumerate", "--n", "0")
     assert code == 2
+
+
+def test_enumerate_irreducible_is_built_without_a_search(capsys, monkeypatch):
+    searches = []
+    real = decompose.exact_covers
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "exact_covers", counting)
+    code, out, _ = run(capsys, "enumerate", "--n", "7", "--irreducible")
+    assert (code, out.splitlines()[-1], searches) == (0, "count: 717", [])
+    # with --maximal or --parts the listing stays on the search
+    run(capsys, "enumerate", "--n", "5", "--irreducible", "--maximal")
+    run(capsys, "enumerate", "--n", "5", "--irreducible", "--parts", "2")
+    assert len(searches) == 2
+
+
+def test_verify_builds_one_simple_form_per_part(capsys, monkeypatch):
+    triple = _random_triple(random.Random(400), 400)
+    calls = []
+    real = inflation.simple_form
+
+    def counting(sigma):
+        calls.append(tuple(sigma))
+        return real(sigma)
+
+    monkeypatch.setattr(cli, "simple_form", counting)
+    monkeypatch.setattr(decompose, "simple_form", counting)
+    text = "; ".join(" ".join(map(str, part)) for part in triple)
+    assert run(capsys, "verify", "--perms", text)[0] == 0
+    # the parent built each part's form twice: 6 calls on the parts
+    assert all(part != tuple(range(1, 401)) for part in triple)
+    assert sum(sigma in triple for sigma in calls) == 3
 
 
 def test_enumerate_machine_formats(capsys):

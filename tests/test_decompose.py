@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootdec import decompose
 from rootdec.decompose import (
     FAMILIES,
     CountTable,
@@ -16,6 +17,7 @@ from rootdec.decompose import (
     count_structural,
     enumerate_decompositions,
     exact_covers,
+    generate_irreducible,
     inversion_count,
     is_irreducible,
     is_irreducible_structural,
@@ -541,6 +543,69 @@ def test_count_prefixes_agree_with_the_bound(family):
 
 # ---------------------------------------------------------------------------
 # structural counts vs exhaustive enumeration
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_generated_irreducible_decompositions_equal_the_search(n):
+    generated = list(generate_irreducible(n))
+    assert generated == list(enumerate_decompositions(n, irreducible_only=True))
+
+
+def test_generated_irreducible_counts_match_the_structural_table():
+    table = count_structural("A_IRREDUCIBLE", 8)
+    assert [sum(1 for _ in generate_irreducible(n)) for n in range(1, 9)] == list(table.counts)
+
+
+def test_generate_irreducible_refuses_degrees_out_of_range():
+    with pytest.raises(ValueError, match="exceeds the brute-force bound 8"):
+        next(generate_irreducible(9))
+    with pytest.raises(ValueError, match="positive"):
+        next(generate_irreducible(0))
+
+
+def _nonidentity(n):
+    return [p for p in perms(n) if p != identity(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_irreducible_candidates_are_the_structural_filter(n):
+    listed = list(decompose._irreducible_permutations(n))
+    assert len(set(listed)) == len(listed)
+    assert sorted(listed) == [p for p in _nonidentity(n) if is_irreducible_structural(p)]
+    if n <= 5:
+        assert sorted(listed) == [p for p in _nonidentity(n) if is_irreducible(p)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_descent_candidates_are_the_descent_scan(n):
+    listed = list(decompose._one_descent_permutations(n))
+    assert len(listed) == 2**n - n - 1
+    assert sorted(listed) == [
+        p for p in perms(n) if sum(a > b for a, b in zip(p, p[1:])) == 1
+    ]
+
+
+@pytest.fixture
+def structural_calls(monkeypatch):
+    """The argument of every decompose.is_irreducible_structural call made during the test."""
+    calls = []
+    real = decompose.is_irreducible_structural
+
+    def counting(sigma):
+        calls.append(sigma)
+        return real(sigma)
+
+    monkeypatch.setattr(decompose, "is_irreducible_structural", counting)
+    return calls
+
+
+def test_irreducible_search_lists_its_candidates_without_testing_them(structural_calls):
+    # the parent scan tested all 5,040 permutations of degree 7
+    assert sum(1 for _ in enumerate_decompositions(7, irreducible_only=True)) == 717
+    assert structural_calls == []
+    # with --maximal, the one-descent list still passes the filter: 42, not 114
+    assert sum(1 for _ in enumerate_decompositions(6, maximal=True, irreducible_only=True)) == 42
+    assert sum(len(sigma) == 6 for sigma in structural_calls) == 2**6 - 6 - 1
 
 
 @pytest.mark.parametrize("n", range(1, 7))
