@@ -2,9 +2,8 @@
 
 ``golden/search_digests.json`` holds the exit code and the SHA-256 digests
 of stdout and stderr for the four enumerations of the benchmark's ``search``
-workload, the only listings above degree 6 that tier-1 replays.  They take
-3-4 s together, so they sit apart from ``test_cli_golden.py`` and its
-under-2 s list.  A change meant to alter these outputs records the file
+workload.  They take 2-3 s together, so they sit apart from
+``test_cli_golden.py``.  A change meant to alter these outputs records the file
 again and shows the new digests in its diff::
 
     PYTHONPATH=src python tests/test_cli_search_golden.py

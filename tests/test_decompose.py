@@ -600,7 +600,7 @@ def structural_calls(monkeypatch):
 
 
 def test_irreducible_search_lists_its_candidates_without_testing_them(structural_calls):
-    # the parent scan tested all 5,040 permutations of degree 7
+    # a filtered scan would test all 5,040 permutations of degree 7
     assert sum(1 for _ in enumerate_decompositions(7, irreducible_only=True)) == 717
     assert structural_calls == []
     # with --maximal, the one-descent list still passes the filter: 42, not 114
