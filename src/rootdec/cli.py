@@ -40,11 +40,10 @@ from .bcgroups import (
 from .decompose import (
     DEFAULT_ENUMERATION_BOUND,
     FAMILIES,
-    _form_is_irreducible,
     count_structural,
     enumerate_decompositions,
-    generate_irreducible,
     inversion_count,
+    simple_form_and_irreducibility,
     verify_decomposition,
 )
 from .genseries import (
@@ -58,7 +57,7 @@ from .genseries import (
     simple_pairs_A,
 )
 from .inflation import simple_form
-from .permcore import format_permutation, identity, parse_permutation
+from .permcore import format_permutation, parse_permutation
 
 OUTPUT_FORMATS = ("text", "csv", "json")
 DEFAULT_SERIES_ORDER = 40
@@ -270,16 +269,13 @@ def _emit_indexed(fmt: str, label: str, column: str, name: str, start: int, valu
 
 
 def _part_report(index: int, text: str, inversions: int, sigma) -> dict[str, object]:
-    """One part's row; the last two columns treat ``sigma`` (a B/C part's embedding) as type A.
-
-    Both read one simple form of ``sigma``.
-    """
-    form = simple_form(sigma) if len(sigma) >= 2 else None
+    """One part's row; the last two columns treat ``sigma`` (a B/C part's embedding) as type A."""
+    form, irreducible = simple_form_and_irreducibility(sigma)
     return {
         "index": index,
         "permutation": text,
         "inversions": inversions,
-        "irreducible": sigma == identity(len(sigma)) or _form_is_irreducible(form),
+        "irreducible": irreducible,
         "simple_form": str(form) if form else "-",
     }
 
@@ -358,17 +354,16 @@ def _cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
             1, f"degree {args.n} exceeds the brute-force bound {config.brute_force_bound}"
         )
     with _errors(2):
-        if args.irreducible and args.parts is None and not args.maximal:
-            decompositions = generate_irreducible(args.n)
-        else:
-            decompositions = enumerate_decompositions(
+        found = [
+            str(dec)
+            for dec in enumerate_decompositions(
                 args.n,
                 args.parts,
                 irreducible_only=args.irreducible,
                 allow_identity=args.allow_identity,
                 maximal=args.maximal,
             )
-        found = [str(dec) for dec in decompositions]
+        ]
     _emit(
         args.format,
         {"n": args.n, "count": len(found), "decompositions": found},

@@ -64,6 +64,7 @@ __all__ = [
     "is_irreducible",
     "is_irreducible_structural",
     "merge",
+    "simple_form_and_irreducibility",
     "verify_decomposition",
 ]
 
@@ -336,6 +337,22 @@ def is_irreducible_structural(sigma: Perm) -> bool:
     return sigma == identity(len(sigma)) or _form_is_irreducible(simple_form(sigma))
 
 
+def simple_form_and_irreducibility(sigma: Perm) -> tuple[SimpleForm | None, bool]:
+    """``simple_form(sigma)`` (None at degree 1) and :func:`is_irreducible_structural`.
+
+    Both come from one simple form, so a caller that reports both builds it once.
+
+    >>> form, irreducible = simple_form_and_irreducibility((3, 2, 1))
+    >>> str(form), irreducible
+    ('(3,2,1)[(1),(1),(1)]', False)
+    >>> simple_form_and_irreducibility((1,))
+    (None, True)
+    """
+    sigma = check_permutation(sigma)
+    form = simple_form(sigma) if len(sigma) >= 2 else None
+    return form, sigma == identity(len(sigma)) or _form_is_irreducible(form)
+
+
 def _form_is_irreducible(form: SimpleForm) -> bool:
     """:func:`is_irreducible_structural` of a nonidentity permutation, given its simple form."""
     if form.skeleton_kind == SIMPLE:
@@ -533,6 +550,14 @@ def exact_covers(
     return descend(0)
 
 
+def _check_enumeration_degree(n: int) -> None:
+    """Refuse degrees below 1 or above :data:`DEFAULT_ENUMERATION_BOUND`."""
+    if n < 1:
+        raise ValueError(f"degree must be positive, got {n}")
+    if n > DEFAULT_ENUMERATION_BOUND:
+        raise ValueError(f"degree {n} exceeds the brute-force bound {DEFAULT_ENUMERATION_BOUND}")
+
+
 def enumerate_decompositions(
     n: int,
     r: int | None = None,
@@ -548,13 +573,9 @@ def enumerate_decompositions(
     means r = n-1 nonempty parts, equivalently one simple root per part.
     Degrees above :data:`DEFAULT_ENUMERATION_BOUND` are refused up front.
 
-    The search is :func:`exact_covers` over the candidate parts, so each
-    decomposition is found exactly once.  The candidates are listed
-    directly: with ``maximal`` the 2^n - n - 1 permutations with one
-    descent (those also irreducible when ``irreducible_only`` is set), with
-    ``irreducible_only`` alone the nonidentity irreducible permutations
-    (:func:`_irreducible_permutations`), and otherwise all n! - 1
-    nonidentity permutations.
+    With ``irreducible_only`` and no fixed part count the decompositions
+    are built from the paper's description (:func:`generate_irreducible`);
+    every other listing is found by :func:`_search_decompositions`.
 
     >>> [str(d) for d in enumerate_decompositions(3, irreducible_only=True)]
     ['1 3 2 | 3 1 2', '2 1 3 | 2 3 1']
@@ -563,10 +584,37 @@ def enumerate_decompositions(
     >>> [str(d) for d in enumerate_decompositions(2, 3, allow_identity=True)]
     ['1 2 | 1 2 | 2 1']
     """
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
-    if n > DEFAULT_ENUMERATION_BOUND:
-        raise ValueError(f"degree {n} exceeds the brute-force bound {DEFAULT_ENUMERATION_BOUND}")
+    if irreducible_only and r is None and not maximal and not allow_identity:
+        yield from generate_irreducible(n)
+    else:
+        yield from _search_decompositions(
+            n, r, irreducible_only=irreducible_only, allow_identity=allow_identity, maximal=maximal
+        )
+
+
+def _search_decompositions(
+    n: int,
+    r: int | None = None,
+    *,
+    irreducible_only: bool = False,
+    allow_identity: bool = False,
+    maximal: bool = False,
+) -> Iterator[Decomposition]:
+    """:func:`enumerate_decompositions` by exhaustive search, for every option.
+
+    The search is :func:`exact_covers` over the candidate parts, so each
+    decomposition is found exactly once.  The candidates are listed
+    directly: with ``maximal`` the 2^n - n - 1 permutations with one
+    descent (those also irreducible when ``irreducible_only`` is set), with
+    ``irreducible_only`` alone the nonidentity irreducible permutations
+    (:func:`_irreducible_permutations`), and otherwise all n! - 1
+    nonidentity permutations.  The acceptance suite checks the structural
+    counts against this route, which shares no code with them.
+
+    >>> [str(d) for d in _search_decompositions(3, irreducible_only=True)]
+    ['1 3 2 | 3 1 2', '2 1 3 | 2 3 1']
+    """
+    _check_enumeration_degree(n)
     if r is not None and r < 0:
         raise ValueError(f"part count must be nonnegative, got {r}")
     if maximal:
@@ -616,10 +664,7 @@ def generate_irreducible(n: int) -> Iterator[Decomposition]:
     >>> [d.parts for d in generate_irreducible(1)]
     [()]
     """
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
-    if n > DEFAULT_ENUMERATION_BOUND:
-        raise ValueError(f"degree {n} exceeds the brute-force bound {DEFAULT_ENUMERATION_BOUND}")
+    _check_enumeration_degree(n)
     skeletons = {m: _skeletons(m) for m in range(2, n + 1)}
     # found[k]: the part tuples of the irreducible decompositions of degree k
     found: dict[int, list[tuple[Perm, ...]]] = {1: [()]}

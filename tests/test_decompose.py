@@ -545,9 +545,18 @@ def test_count_prefixes_agree_with_the_bound(family):
 # structural counts vs exhaustive enumeration
 
 
+def _filtered_irreducible_search(n):
+    """The irreducible decompositions searched over all n! permutations, filtered."""
+    parts = [(p, inversion_set(p).roots) for p in perms(n) if is_irreducible_structural(p)]
+    covers = exact_covers(all_roots(n), simple_roots(n), parts)
+    return sorted((Decomposition(n, cover) for cover in covers), key=lambda d: d.parts)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_generated_irreducible_decompositions_equal_the_search(n):
     generated = list(generate_irreducible(n))
+    assert generated == _filtered_irreducible_search(n)
+    assert generated == list(decompose._search_decompositions(n, irreducible_only=True))
     assert generated == list(enumerate_decompositions(n, irreducible_only=True))
 
 
@@ -601,6 +610,7 @@ def structural_calls(monkeypatch):
 
 def test_irreducible_search_lists_its_candidates_without_testing_them(structural_calls):
     # a filtered scan would test all 5,040 permutations of degree 7
+    assert sum(1 for _ in decompose._search_decompositions(7, irreducible_only=True)) == 717
     assert sum(1 for _ in enumerate_decompositions(7, irreducible_only=True)) == 717
     assert structural_calls == []
     # with --maximal, the one-descent list still passes the filter: 42, not 114
