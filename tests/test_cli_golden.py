@@ -3,8 +3,10 @@
 ``golden/cli_digests.json`` lists ``cli.main`` argument vectors, each with
 the exit code and the SHA-256 digests of stdout and stderr recorded for it:
 ``enumerate`` at n <= 6 in every mode (in every format up to n = 5),
-``--irreducible`` with ``--maximal`` at n = 4..7 and with ``--parts 2|3``
-(padded or not) at n <= 6, ``enumerate --n 8 --irreducible`` in every format,
+``--irreducible`` with ``--maximal`` at n = 4..8, with ``--parts 0..5``
+(padded or not) at n <= 6 and with ``--parts 1..6`` and padded ``--parts
+3|4`` at n = 7, ``enumerate --n 7 --parts 7`` (an empty listing),
+``enumerate --n 8 --irreducible`` in every format,
 ``simple-form`` on seeded degree-40 permutations (simple, plus- and
 minus-decomposable, and inflations of a simple skeleton) and on degree-200
 shuffles and inflations of (2,4,1,3) and ``exceptional(2, 3)``, ``verify`` on
@@ -84,13 +86,20 @@ def _enumerate_calls() -> list[list[str]]:
 def _irreducible_calls() -> list[list[str]]:
     # --irreducible combined with --maximal or --parts, and the degree-8
     # listing in every format (the largest the brute-force bound allows)
-    calls = [["enumerate", "--n", str(n), "--maximal", "--irreducible"] for n in range(4, 8)]
+    calls = [["enumerate", "--n", str(n), "--maximal", "--irreducible"] for n in range(4, 9)]
     calls += [
         ["enumerate", "--n", str(n), "--irreducible", "--parts", str(r), *pad]
         for n in range(1, 7)
-        for r in (2, 3)
+        for r in range(6)
         for pad in ([], ["--allow-identity"])
     ]
+    calls += [["enumerate", "--n", "7", "--irreducible", "--parts", str(r)] for r in range(1, 7)]
+    calls += [
+        ["enumerate", "--n", "7", "--irreducible", "--parts", r, "--allow-identity"]
+        for r in ("3", "4")
+    ]
+    # more parts than the n - 1 a cover can hold: an empty listing
+    calls.append(["enumerate", "--n", "7", "--parts", "7"])
     return calls + [
         ["enumerate", "--n", "8", "--irreducible", "--format", fmt]
         for fmt in ("text", "csv", "json")
