@@ -61,7 +61,8 @@ from .bcgroups import (
     mirror_index,
 )
 from .decompose import (
-    _search_decompositions,
+    Decomposition,
+    _irreducible_permutations,
     count_structural,
     enumerate_decompositions,
     exact_covers,
@@ -304,6 +305,19 @@ def _brute_bc_counts(family: str, n: int) -> tuple[int, int, int]:
     return covers(irreducible), covers(maximal, n), covers(list(sets), 3, pad=True)
 
 
+def _searched_irreducible_count(n: int) -> int:
+    """Decompositions of degree ``n`` into irreducible parts, found by search.
+
+    The covers of the positive system by the direct list of irreducible
+    permutations, each checked as a :class:`Decomposition`.  The public
+    listing builds them by the recursion that ``count_structural`` counts;
+    the search finds them without it.
+    """
+    parts = [(p, inversion_set(p).roots) for p in _irreducible_permutations(n)]
+    covers = exact_covers(all_roots(n), simple_roots(n), parts)
+    return len([Decomposition(n, cover) for cover in covers])
+
+
 def criterion_4() -> Check:
     """Exhaustive enumeration agrees with structural counting on small ranks."""
     start = time.perf_counter()
@@ -313,9 +327,7 @@ def criterion_4() -> Check:
     table_maximal = count_structural("A_MAXIMAL", 7)
     for n in range(1, 8):
         triples = sum(1 for _ in enumerate_decompositions(n, 3, allow_identity=True))
-        # the public listing builds these by the recursion the table counts;
-        # the search keeps this check independent of it
-        irreducible = sum(1 for _ in _search_decompositions(n, irreducible_only=True))
+        irreducible = _searched_irreducible_count(n)
         maximal = sum(1 for _ in enumerate_decompositions(n, maximal=True))
         if triples != table_triples[n]:
             problems.append(f"A triples n={n}: brute {triples} vs structural {table_triples[n]}")
@@ -328,14 +340,11 @@ def criterion_4() -> Check:
                 f"A maximal n={n}: brute {maximal}, structural {table_maximal[n]},"
                 f" Catalan {CATALAN_SMALL[n - 1]}"
             )
+    tables_bc = [count_structural(f, 3) for f in ("BC_IRREDUCIBLE", "BC_MAXIMAL", "BC_TRIPLES")]
     for family in (TYPE_B, TYPE_C):
         for n in range(1, 4):
             irreducible, maximal, triples = _brute_bc_counts(family, n)
-            expected = (
-                count_structural("BC_IRREDUCIBLE", n)[n],
-                count_structural("BC_MAXIMAL", n)[n],
-                count_structural("BC_TRIPLES", n)[n],
-            )
+            expected = tuple(table[n] for table in tables_bc)
             if (irreducible, maximal, triples) != expected:
                 problems.append(
                     f"type {family} n={n}: brute {(irreducible, maximal, triples)}"

@@ -14,9 +14,9 @@ invocations give identical bytes.
 A ``--config FILE`` of ``key = value`` lines may set ``brute_force_bound``
 (degree ceiling for exhaustive enumeration, 1..8, default 8; a larger value
 is refused when the file is read, because the search behind the
-unrestricted and ``--parts`` listings scans all n! permutations) and
-``series_order`` (default order for
-``series``, default 40, at most 200 like ``--order``).
+unrestricted and ``--parts`` listings without ``--irreducible`` scans all n!
+permutations) and ``series_order`` (default order for ``series``, default
+40, at most 200 like ``--order``).
 """
 
 from __future__ import annotations
@@ -94,9 +94,7 @@ class RunConfig:
         for name in CONFIG_KEYS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        # the unrestricted and --parts listings search all n! permutations:
-        # `--parts 2` takes 1.2 s at degree 8 and 13.5 s at degree 9 in
-        # process on 2 cores, hours at 12
+        # the cost that DEFAULT_ENUMERATION_BOUND keeps out is measured there
         if self.brute_force_bound > DEFAULT_ENUMERATION_BOUND:
             raise ValueError(
                 f"brute_force_bound must be at most {DEFAULT_ENUMERATION_BOUND}, "

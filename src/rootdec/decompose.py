@@ -80,8 +80,10 @@ FAMILIES = (
 )
 
 # The unrestricted and fixed-part-count searches take all n! permutations as
-# candidates (`--parts 2` took 13.5 s at degree 9 in process on 2 cores);
-# the irreducible and maximal ones list their candidates directly.
+# candidates.  In process on 2 cores, `--parts 2` takes 1.2 s at degree 8 and
+# 13.5 s at degree 9, and the unrestricted degree-8 search finds 271,497
+# covers in 127 s of `exact_covers` alone.  The irreducible listings are built
+# and the maximal search lists its candidates directly.
 DEFAULT_ENUMERATION_BOUND = 8
 # Measured in process on a 2-core machine: every family takes at most 0.03 s
 # at n_max = 64, while at 128 all but the two Catalan ones take 0.07-0.22 s.
@@ -412,7 +414,9 @@ def _irreducible_permutations(n: int) -> Iterator[Perm]:
 
     Each is id_a ⊕ S[id_k1, ..., id_km] ⊕ id_b for exactly one skeleton
     member S of degree m and one choice of a, b and the sizes k, which is
-    :func:`is_irreducible_structural`'s description read as a list.
+    :func:`is_irreducible_structural`'s description read as a list.  The
+    acceptance suite searches their covers as a count of the irreducible
+    decompositions independent of :func:`generate_irreducible`.
 
     >>> sorted(_irreducible_permutations(3))
     [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
@@ -573,9 +577,14 @@ def enumerate_decompositions(
     means r = n-1 nonempty parts, equivalently one simple root per part.
     Degrees above :data:`DEFAULT_ENUMERATION_BOUND` are refused up front.
 
-    With ``irreducible_only`` and no fixed part count the decompositions
-    are built from the paper's description (:func:`generate_irreducible`);
-    every other listing is found by :func:`_search_decompositions`.
+    Each nonempty part holds a simple root, so without padding no listing
+    has more than n - 1 parts.  With ``irreducible_only`` the decompositions
+    are built from the paper's description (:func:`generate_irreducible`)
+    and kept by part count.  The others are the covers :func:`exact_covers`
+    finds among the 2^n - n - 1 permutations with one descent for
+    ``maximal``, and among all n! - 1 nonidentity permutations otherwise.
+    A one-descent part holds one simple root, and each part of a split
+    would need its own, so it is irreducible: ``maximal`` needs no filter.
 
     >>> [str(d) for d in enumerate_decompositions(3, irreducible_only=True)]
     ['1 3 2 | 3 1 2', '2 1 3 | 2 3 1']
@@ -583,36 +592,6 @@ def enumerate_decompositions(
     5
     >>> [str(d) for d in enumerate_decompositions(2, 3, allow_identity=True)]
     ['1 2 | 1 2 | 2 1']
-    """
-    if irreducible_only and r is None and not maximal and not allow_identity:
-        yield from generate_irreducible(n)
-    else:
-        yield from _search_decompositions(
-            n, r, irreducible_only=irreducible_only, allow_identity=allow_identity, maximal=maximal
-        )
-
-
-def _search_decompositions(
-    n: int,
-    r: int | None = None,
-    *,
-    irreducible_only: bool = False,
-    allow_identity: bool = False,
-    maximal: bool = False,
-) -> Iterator[Decomposition]:
-    """:func:`enumerate_decompositions` by exhaustive search, for every option.
-
-    The search is :func:`exact_covers` over the candidate parts, so each
-    decomposition is found exactly once.  The candidates are listed
-    directly: with ``maximal`` the 2^n - n - 1 permutations with one
-    descent (those also irreducible when ``irreducible_only`` is set), with
-    ``irreducible_only`` alone the nonidentity irreducible permutations
-    (:func:`_irreducible_permutations`), and otherwise all n! - 1
-    nonidentity permutations.  The acceptance suite checks the structural
-    counts against this route, which shares no code with them.
-
-    >>> [str(d) for d in _search_decompositions(3, irreducible_only=True)]
-    ['1 3 2 | 3 1 2', '2 1 3 | 2 3 1']
     """
     _check_enumeration_degree(n)
     if r is not None and r < 0:
@@ -625,20 +604,26 @@ def _search_decompositions(
             raise ValueError("maximal parts are nonempty; allow_identity does not apply")
     if allow_identity and r is None:
         raise ValueError("padding with identity parts needs a fixed part count r")
+    if r is not None and r >= n and not allow_identity:
+        return
 
-    if maximal:
-        candidates = _one_descent_permutations(n)
-        if irreducible_only:
-            candidates = filter(is_irreducible_structural, candidates)
-    elif irreducible_only:
-        candidates = _irreducible_permutations(n)
+    if irreducible_only and not maximal:
+        built = generate_irreducible(n)
+        if not allow_identity:
+            yield from (d for d in built if r is None or len(d) == r)
+            return
+        covers = (d.parts for d in built if len(d) <= r)
     else:
-        candidates = itertools.permutations(range(1, n + 1))
-    # a generator, so the search keeps only each part's bitmask
-    parts = ((perm, inv) for perm in candidates if (inv := inversion_set(perm).roots))
+        if maximal:
+            candidates = _one_descent_permutations(n)
+        else:
+            candidates = itertools.permutations(range(1, n + 1))
+        # a generator, so the search keeps only each part's bitmask
+        parts = ((perm, inv) for perm in candidates if (inv := inversion_set(perm).roots))
+        covers = exact_covers(all_roots(n), simple_roots(n), parts, r, pad=allow_identity)
 
     results = []
-    for cover in exact_covers(all_roots(n), simple_roots(n), parts, r, pad=allow_identity):
+    for cover in covers:
         if r is not None:
             cover += (identity(n),) * (r - len(cover))
         results.append(Decomposition(n, cover))
@@ -649,7 +634,7 @@ def _search_decompositions(
 def generate_irreducible(n: int) -> Iterator[Decomposition]:
     """Yield every decomposition into irreducible parts, in canonical order.
 
-    The same decompositions as ``enumerate_decompositions(n,
+    The listing behind ``enumerate_decompositions(n,
     irreducible_only=True)``, built from the paper's description instead of
     searched for.  At degree n > 1 each one is a skeleton (see
     :func:`_skeletons`) of some degree m, inflated by identity blocks of

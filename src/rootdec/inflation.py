@@ -41,8 +41,6 @@ SIMPLE = "SIMPLE"
 IDENTITY = "IDENTITY"
 REVERSAL = "REVERSAL"
 
-_KINDS = (SIMPLE, IDENTITY, REVERSAL)
-
 
 @dataclass(frozen=True)
 class Block:

@@ -314,10 +314,15 @@ def test_enumerate_irreducible_is_built_without_a_search(capsys, monkeypatch):
     monkeypatch.setattr(decompose, "exact_covers", counting)
     code, out, _ = run(capsys, "enumerate", "--n", "7", "--irreducible")
     assert (code, out.splitlines()[-1], searches) == (0, "count: 717", [])
-    # with --maximal or --parts the listing stays on the search
-    run(capsys, "enumerate", "--n", "5", "--irreducible", "--maximal")
-    run(capsys, "enumerate", "--n", "5", "--irreducible", "--parts", "2")
-    assert len(searches) == 2
+    # a fixed part count, padded or not, keeps the built listing's members
+    code, out, _ = run(capsys, "enumerate", "--n", "5", "--irreducible", "--parts", "2")
+    assert (code, out.splitlines()[-1], searches) == (0, "count: 3", [])
+    argv = ["enumerate", "--n", "5", "--irreducible", "--parts", "3", "--allow-identity"]
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.splitlines()[-1], searches) == (0, "count: 9", [])
+    # with --maximal the listing stays on the one-descent search
+    code, out, _ = run(capsys, "enumerate", "--n", "5", "--irreducible", "--maximal")
+    assert (code, out.splitlines()[-1], len(searches)) == (0, "count: 14", 1)
 
 
 def test_verify_builds_one_simple_form_per_part(capsys, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootdec import decompose
+from rootdec import acceptance, decompose
 from rootdec.decompose import (
     FAMILIES,
     CountTable,
@@ -556,8 +556,23 @@ def _filtered_irreducible_search(n):
 def test_generated_irreducible_decompositions_equal_the_search(n):
     generated = list(generate_irreducible(n))
     assert generated == _filtered_irreducible_search(n)
-    assert generated == list(decompose._search_decompositions(n, irreducible_only=True))
     assert generated == list(enumerate_decompositions(n, irreducible_only=True))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_irreducible_listings_by_part_count_equal_the_search(n):
+    searched = _filtered_irreducible_search(n)
+    for r in range(n + 2):
+        exact = [d for d in searched if len(d) == r]
+        assert list(enumerate_decompositions(n, r, irreducible_only=True)) == exact
+        padded = [
+            Decomposition(n, d.parts + (identity(n),) * (r - len(d)))
+            for d in searched
+            if len(d) <= r
+        ]
+        padded.sort(key=lambda d: d.parts)
+        listed = enumerate_decompositions(n, r, irreducible_only=True, allow_identity=True)
+        assert list(listed) == padded
 
 
 def test_generated_irreducible_counts_match_the_structural_table():
@@ -592,6 +607,10 @@ def test_one_descent_candidates_are_the_descent_scan(n):
     assert sorted(listed) == [
         p for p in perms(n) if sum(a > b for a, b in zip(p, p[1:])) == 1
     ]
+    # one simple root each, so none splits: maximal listings need no filter
+    assert all(is_irreducible_structural(p) for p in listed)
+    if n <= 5:
+        assert all(is_irreducible(p) for p in listed)
 
 
 @pytest.fixture
@@ -610,12 +629,27 @@ def structural_calls(monkeypatch):
 
 def test_irreducible_search_lists_its_candidates_without_testing_them(structural_calls):
     # a filtered scan would test all 5,040 permutations of degree 7
-    assert sum(1 for _ in decompose._search_decompositions(7, irreducible_only=True)) == 717
+    assert acceptance._searched_irreducible_count(7) == 717
     assert sum(1 for _ in enumerate_decompositions(7, irreducible_only=True)) == 717
-    assert structural_calls == []
-    # with --maximal, the one-descent list still passes the filter: 42, not 114
-    assert sum(1 for _ in enumerate_decompositions(6, maximal=True, irreducible_only=True)) == 42
-    assert sum(len(sigma) == 6 for sigma in structural_calls) == 2**6 - 6 - 1
+    # every one-descent permutation is irreducible, so none is tested
+    maximal = list(enumerate_decompositions(6, maximal=True))
+    assert list(enumerate_decompositions(6, maximal=True, irreducible_only=True)) == maximal
+    assert (len(maximal), structural_calls) == (42, [])
+
+
+def test_too_many_parts_list_nothing_without_a_search(monkeypatch):
+    searches = []
+    real = decompose.exact_covers
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "exact_covers", counting)
+    # each nonempty part holds one of the n - 1 simple roots
+    assert list(enumerate_decompositions(7, 7)) == []
+    assert list(enumerate_decompositions(7, 50)) == []
+    assert searches == []
 
 
 @pytest.mark.parametrize("n", range(1, 7))
