@@ -79,7 +79,6 @@ from .inflation import (
 )
 from .lrcone import build_equations, rays
 from .permcore import (
-    Root,
     RootSubset,
     all_roots,
     inversion_set,
@@ -288,25 +287,24 @@ def _brute_bc_counts(family: str, n: int) -> tuple[int, int, int]:
 
     Independent of the structural recursions: counts the exact covers of the
     ambient positive system by the embeddings' inversion sets, which are the
-    covers of the B/C positive roots by B/C inversion sets.  A part is
-    maximal when its embedding has one descent among positions 1..n.
+    covers of the B/C positive roots by B/C inversion sets.  A maximal
+    decomposition has n parts, one per B/C simple root; each part of a
+    split would need one of its own, so the maximal decompositions are the
+    irreducible covers with n parts.
     """
     embed = embed_B if family == TYPE_B else embed_C
     sets = dict.fromkeys(inversion_set(embed(sigma)).roots for sigma in all_signed_permutations(n))
     del sets[frozenset()]
     degree = ambient_degree(family, n)
     roots, simple = all_roots(degree), simple_roots(degree)
-
-    def covers(parts: list[frozenset[Root]], r: int | None = None, pad: bool = False) -> int:
-        return sum(1 for _ in exact_covers(roots, simple, [(s, s) for s in parts], r, pad))
-
-    irreducible = [s for s in sets if not any(t < s and s - t in sets for t in sets)]
-    maximal = [s for s in sets if len(s.intersection(simple[:n])) == 1]
-    return covers(irreducible), covers(maximal, n), covers(list(sets), 3, pad=True)
+    irreducible = [(s, s) for s in sets if not any(t < s and s - t in sets for t in sets)]
+    sizes = [len(cover) for cover in exact_covers(roots, simple, irreducible)]
+    triples = exact_covers(roots, simple, [(s, s) for s in sets], 3, pad=True)
+    return len(sizes), sizes.count(n), sum(1 for _ in triples)
 
 
-def _searched_irreducible_count(n: int) -> int:
-    """Decompositions of degree ``n`` into irreducible parts, found by search.
+def _searched_irreducible_decompositions(n: int) -> list[Decomposition]:
+    """The decompositions of degree ``n`` into irreducible parts, found by search.
 
     The covers of the positive system by the direct list of irreducible
     permutations, each checked as a :class:`Decomposition`.  The public
@@ -315,7 +313,7 @@ def _searched_irreducible_count(n: int) -> int:
     """
     parts = [(p, inversion_set(p).roots) for p in _irreducible_permutations(n)]
     covers = exact_covers(all_roots(n), simple_roots(n), parts)
-    return len([Decomposition(n, cover) for cover in covers])
+    return [Decomposition(n, cover) for cover in covers]
 
 
 def criterion_4() -> Check:
@@ -327,8 +325,10 @@ def criterion_4() -> Check:
     table_maximal = count_structural("A_MAXIMAL", 7)
     for n in range(1, 8):
         triples = sum(1 for _ in enumerate_decompositions(n, 3, allow_identity=True))
-        irreducible = _searched_irreducible_count(n)
-        maximal = sum(1 for _ in enumerate_decompositions(n, maximal=True))
+        searched = _searched_irreducible_decompositions(n)
+        irreducible = len(searched)
+        # a maximal part cannot split, so these are the maximal decompositions
+        maximal = sum(1 for d in searched if len(d) == n - 1)
         if triples != table_triples[n]:
             problems.append(f"A triples n={n}: brute {triples} vs structural {table_triples[n]}")
         if irreducible != table_irreducible[n]:

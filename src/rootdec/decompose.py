@@ -3,10 +3,10 @@
 A decomposition writes every positive root exactly once across a collection
 of permutations' inversion sets.  This module verifies candidate
 decompositions, tests irreducibility of single inversion sets (both by brute
-force and structurally through the simple form), enumerates decompositions
-exhaustively for small degrees (and builds the irreducible ones from the
-paper's description), and counts them for large degrees with
-recursive dynamic programs that never enumerate.
+force and structurally through the simple form), lists decompositions for
+small degrees (building the irreducible and maximal ones from the paper's
+description and searching for the others), and counts them for large
+degrees with recursive dynamic programs that never enumerate.
 
 The structural counts deliberately share no code with :mod:`rootdec.genseries`:
 the two routes validate each other in the test suite.  All counting here is
@@ -59,7 +59,6 @@ __all__ = [
     "count_structural",
     "enumerate_decompositions",
     "exact_covers",
-    "generate_irreducible",
     "inversion_count",
     "is_irreducible",
     "is_irreducible_structural",
@@ -82,8 +81,8 @@ FAMILIES = (
 # The unrestricted and fixed-part-count searches take all n! permutations as
 # candidates.  In process on 2 cores, `--parts 2` takes 1.2 s at degree 8 and
 # 13.5 s at degree 9, and the unrestricted degree-8 search finds 271,497
-# covers in 127 s of `exact_covers` alone.  The irreducible listings are built
-# and the maximal search lists its candidates directly.
+# covers in 127 s of `exact_covers` alone.  The irreducible and maximal
+# listings are built, not searched for.
 DEFAULT_ENUMERATION_BOUND = 8
 # Measured in process on a 2-core machine: every family takes at most 0.03 s
 # at n_max = 64, while at 128 all but the two Catalan ones take 0.07-0.22 s.
@@ -416,7 +415,7 @@ def _irreducible_permutations(n: int) -> Iterator[Perm]:
     member S of degree m and one choice of a, b and the sizes k, which is
     :func:`is_irreducible_structural`'s description read as a list.  The
     acceptance suite searches their covers as a count of the irreducible
-    decompositions independent of :func:`generate_irreducible`.
+    decompositions independent of :func:`_built_decompositions`.
 
     >>> sorted(_irreducible_permutations(3))
     [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
@@ -429,25 +428,6 @@ def _irreducible_permutations(n: int) -> Iterator[Perm]:
                         core = inflate(member, [identity(k) for k in sizes])
                         for before in range(n - total + 1):
                             yield _shifted(core, before, n)
-
-
-def _one_descent_permutations(n: int) -> Iterator[Perm]:
-    """The 2^n - n - 1 permutations of degree ``n`` with exactly one descent.
-
-    A maximal part holds one simple root, and the simple roots of an
-    inversion set are the permutation's descents.  Each such permutation
-    is an increasing run on a value set S followed by one on the rest,
-    with max S above the least of the rest.
-
-    >>> list(_one_descent_permutations(3))
-    [(2, 1, 3), (3, 1, 2), (1, 3, 2), (2, 3, 1)]
-    """
-    values = range(1, n + 1)
-    for size in range(1, n):
-        for first in itertools.combinations(values, size):
-            rest = [v for v in values if v not in first]
-            if first[-1] > rest[0]:
-                yield (*first, *rest)
 
 
 # ---------------------------------------------------------------------------
@@ -554,12 +534,48 @@ def exact_covers(
     return descend(0)
 
 
-def _check_enumeration_degree(n: int) -> None:
-    """Refuse degrees below 1 or above :data:`DEFAULT_ENUMERATION_BOUND`."""
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
-    if n > DEFAULT_ENUMERATION_BOUND:
-        raise ValueError(f"degree {n} exceeds the brute-force bound {DEFAULT_ENUMERATION_BOUND}")
+def _built_decompositions(n: int, skeleton_bound: int) -> list[tuple[Perm, ...]]:
+    """The part tuples of the irreducible decompositions of degree ``n``.
+
+    Built from the paper's description instead of searched for.  At degree
+    n > 1 each one is a skeleton (see :func:`_skeletons`) of some degree m,
+    inflated by identity blocks of sizes k1..km that sum to n, together
+    with one irreducible decomposition of degree ka in each slot a, shifted
+    into place; a degree-1 slot adds no part.  Hence a(x) = x + sum_m s_m
+    a(x)^m, as :func:`count_structural` counts them.
+
+    Only skeletons of degree m <= ``skeleton_bound`` are inflated, in the
+    slots too.  With the bound 2 these are exactly the maximal
+    decompositions, with n - 1 parts: a simple skeleton of degree m >= 4
+    has two frame parts and its slots add at most n - m, while (2 1) has
+    one and reaches n - 1 only when both of its slots do.
+
+    >>> _built_decompositions(3, 3)
+    [((3, 1, 2), (1, 3, 2)), ((2, 3, 1), (2, 1, 3))]
+    >>> len(_built_decompositions(5, 5)), len(_built_decompositions(5, 2))
+    (23, 14)
+    >>> _built_decompositions(1, 1)
+    [()]
+    """
+    skeletons = {m: _skeletons(m) for m in range(2, skeleton_bound + 1)}
+    # found[k]: the part tuples of the decompositions of degree k
+    found: dict[int, list[tuple[Perm, ...]]] = {1: [()]}
+    for k in range(2, n + 1):
+        found[k] = []
+        for m, skeletons_m in skeletons.items():
+            for sizes in _compositions(k, m):
+                starts = itertools.accumulate(sizes[:-1], initial=0)
+                slots = [
+                    [[_shifted(part, start, k) for part in parts] for parts in found[size]]
+                    for start, size in zip(starts, sizes)
+                    if size > 1
+                ]
+                blocks = [identity(size) for size in sizes]
+                for skeleton in skeletons_m:
+                    frame = [inflate(member, blocks) for member in skeleton]
+                    for filling in itertools.product(*slots):
+                        found[k].append((*frame, *itertools.chain.from_iterable(filling)))
+    return found[n]
 
 
 def enumerate_decompositions(
@@ -577,14 +593,15 @@ def enumerate_decompositions(
     means r = n-1 nonempty parts, equivalently one simple root per part.
     Degrees above :data:`DEFAULT_ENUMERATION_BOUND` are refused up front.
 
-    Each nonempty part holds a simple root, so without padding no listing
-    has more than n - 1 parts.  With ``irreducible_only`` the decompositions
-    are built from the paper's description (:func:`generate_irreducible`)
-    and kept by part count.  The others are the covers :func:`exact_covers`
-    finds among the 2^n - n - 1 permutations with one descent for
-    ``maximal``, and among all n! - 1 nonidentity permutations otherwise.
-    A one-descent part holds one simple root, and each part of a split
-    would need its own, so it is irreducible: ``maximal`` needs no filter.
+    Each nonempty part holds a simple root, and at n > 1 some part is
+    nonempty, so without padding every listed decomposition has 1 to n - 1
+    parts (none at n = 1).  A maximal part cannot
+    split, since each half would need a simple root of its own, so the
+    maximal decompositions are irreducible.  With ``irreducible_only`` or
+    ``maximal`` the decompositions are built from the paper's description
+    (:func:`_built_decompositions`, from (2 1) alone for ``maximal``) and
+    kept by part count.  The others are the covers :func:`exact_covers`
+    finds among all n! - 1 nonidentity permutations.
 
     >>> [str(d) for d in enumerate_decompositions(3, irreducible_only=True)]
     ['1 3 2 | 3 1 2', '2 1 3 | 2 3 1']
@@ -593,7 +610,10 @@ def enumerate_decompositions(
     >>> [str(d) for d in enumerate_decompositions(2, 3, allow_identity=True)]
     ['1 2 | 1 2 | 2 1']
     """
-    _check_enumeration_degree(n)
+    if n < 1:
+        raise ValueError(f"degree must be positive, got {n}")
+    if n > DEFAULT_ENUMERATION_BOUND:
+        raise ValueError(f"degree {n} exceeds the brute-force bound {DEFAULT_ENUMERATION_BOUND}")
     if r is not None and r < 0:
         raise ValueError(f"part count must be nonnegative, got {r}")
     if maximal:
@@ -604,20 +624,18 @@ def enumerate_decompositions(
             raise ValueError("maximal parts are nonempty; allow_identity does not apply")
     if allow_identity and r is None:
         raise ValueError("padding with identity parts needs a fixed part count r")
-    if r is not None and r >= n and not allow_identity:
+    if r is not None and not allow_identity and (r >= n or (r == 0 and n > 1)):
         return
 
-    if irreducible_only and not maximal:
-        built = generate_irreducible(n)
-        if not allow_identity:
-            yield from (d for d in built if r is None or len(d) == r)
-            return
-        covers = (d.parts for d in built if len(d) <= r)
+    if irreducible_only or maximal:
+        built = _built_decompositions(n, 2 if maximal else n)
+        covers = (
+            parts
+            for parts in built
+            if r is None or len(parts) == r or (allow_identity and len(parts) < r)
+        )
     else:
-        if maximal:
-            candidates = _one_descent_permutations(n)
-        else:
-            candidates = itertools.permutations(range(1, n + 1))
+        candidates = itertools.permutations(range(1, n + 1))
         # a generator, so the search keeps only each part's bitmask
         parts = ((perm, inv) for perm in candidates if (inv := inversion_set(perm).roots))
         covers = exact_covers(all_roots(n), simple_roots(n), parts, r, pad=allow_identity)
@@ -627,48 +645,6 @@ def enumerate_decompositions(
         if r is not None:
             cover += (identity(n),) * (r - len(cover))
         results.append(Decomposition(n, cover))
-    results.sort(key=lambda d: d.parts)
-    yield from results
-
-
-def generate_irreducible(n: int) -> Iterator[Decomposition]:
-    """Yield every decomposition into irreducible parts, in canonical order.
-
-    The listing behind ``enumerate_decompositions(n,
-    irreducible_only=True)``, built from the paper's description instead of
-    searched for.  At degree n > 1 each one is a skeleton (see
-    :func:`_skeletons`) of some degree m, inflated by identity blocks of
-    sizes k1..km that sum to n, together with one irreducible decomposition
-    of degree ka in each slot a, shifted into place; a degree-1 slot adds
-    no part.  Hence a(x) = x + sum_m s_m a(x)^m, as
-    :func:`count_structural` counts them.  Degrees above
-    :data:`DEFAULT_ENUMERATION_BOUND` are refused up front.
-
-    >>> [str(d) for d in generate_irreducible(3)]
-    ['1 3 2 | 3 1 2', '2 1 3 | 2 3 1']
-    >>> [d.parts for d in generate_irreducible(1)]
-    [()]
-    """
-    _check_enumeration_degree(n)
-    skeletons = {m: _skeletons(m) for m in range(2, n + 1)}
-    # found[k]: the part tuples of the irreducible decompositions of degree k
-    found: dict[int, list[tuple[Perm, ...]]] = {1: [()]}
-    for k in range(2, n + 1):
-        found[k] = []
-        for m in range(2, k + 1):
-            for sizes in _compositions(k, m):
-                starts = itertools.accumulate(sizes[:-1], initial=0)
-                slots = [
-                    [[_shifted(part, start, k) for part in parts] for parts in found[size]]
-                    for start, size in zip(starts, sizes)
-                    if size > 1
-                ]
-                blocks = [identity(size) for size in sizes]
-                for skeleton in skeletons[m]:
-                    frame = [inflate(member, blocks) for member in skeleton]
-                    for filling in itertools.product(*slots):
-                        found[k].append((*frame, *itertools.chain.from_iterable(filling)))
-    results = [Decomposition(n, parts) for parts in found[n]]
     results.sort(key=lambda d: d.parts)
     yield from results
 

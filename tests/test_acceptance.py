@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from rootdec import acceptance
+from rootdec import acceptance, decompose
 from rootdec.acceptance import (
     CRITERIA,
     EXPECTED_TRIPLES_A,
@@ -61,6 +61,19 @@ def test_brute_bc_counter_spot_check():
 def test_passing_criteria(verdicts, number):
     ok, detail = verdicts[number]
     assert ok, detail
+
+
+def test_maximal_counts_are_read_off_the_irreducible_searches(count_calls):
+    # one exact-cover search per listing, 26 in criterion 4: triples and
+    # irreducible at n <= 7, irreducible and triples per B/C family at n <= 3;
+    # no maximal search
+    searches = count_calls(acceptance, "exact_covers")
+    listings = count_calls(decompose, "exact_covers")
+    assert acceptance.criterion_4()[0]
+    assert (len(listings), len(searches)) == (7, 19)
+    searches.clear()
+    assert acceptance.criterion_8()[0]
+    assert (len(listings), len(searches)) == (7, 6)
 
 
 def test_criterion_2_fails_on_the_series_tail(verdicts):

@@ -43,8 +43,8 @@ from rootdec.bcgroups import (
     symmetric_inflate,
     verify_bc_decomposition,
 )
-from rootdec.decompose import count_structural, verify_decomposition
-from rootdec.permcore import compose, inversion_set, longest
+from rootdec.decompose import count_structural, exact_covers, verify_decomposition
+from rootdec.permcore import all_roots, compose, inversion_set, longest, simple_roots
 
 EMBED = {TYPE_B: embed_B, TYPE_C: embed_C}
 UNEMBED = {TYPE_B: from_symmetric_B, TYPE_C: from_symmetric_C}
@@ -638,6 +638,19 @@ def test_brute_counts_match_structural_tables(family, n):
     assert irreducible == count_structural("BC_IRREDUCIBLE", n)[n]
     assert maximal == count_structural("BC_MAXIMAL", n)[n]
     assert triples == count_structural("BC_TRIPLES", n)[n]
+
+
+@pytest.mark.parametrize("family", (TYPE_B, TYPE_C))
+@pytest.mark.parametrize("n", range(1, 4))
+def test_brute_maximal_counts_equal_the_one_descent_search(family, n):
+    # the maximal parts are the embeddings with one descent among positions
+    # 1..n; the brute counter reads maximal off its irreducible covers instead
+    sets = {embedded_inversions(sigma, family) for sigma in all_signed_permutations(n)}
+    degree = ambient_degree(family, n)
+    simple = simple_roots(degree)
+    parts = [(s, s) for s in sets if len(s.intersection(simple[:n])) == 1]
+    searched = sum(1 for _ in exact_covers(all_roots(degree), simple, parts, n))
+    assert _brute_bc_counts(family, n)[1] == searched
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from rootdec.decompose import (
     count_structural,
     enumerate_decompositions,
     exact_covers,
-    generate_irreducible,
     inversion_count,
     is_irreducible,
     is_irreducible_structural,
@@ -554,9 +553,8 @@ def _filtered_irreducible_search(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_generated_irreducible_decompositions_equal_the_search(n):
-    generated = list(generate_irreducible(n))
+    generated = list(enumerate_decompositions(n, irreducible_only=True))
     assert generated == _filtered_irreducible_search(n)
-    assert generated == list(enumerate_decompositions(n, irreducible_only=True))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -577,14 +575,15 @@ def test_irreducible_listings_by_part_count_equal_the_search(n):
 
 def test_generated_irreducible_counts_match_the_structural_table():
     table = count_structural("A_IRREDUCIBLE", 8)
-    assert [sum(1 for _ in generate_irreducible(n)) for n in range(1, 9)] == list(table.counts)
+    generated = [enumerate_decompositions(n, irreducible_only=True) for n in range(1, 9)]
+    assert [sum(1 for _ in listing) for listing in generated] == list(table.counts)
 
 
 def test_generate_irreducible_refuses_degrees_out_of_range():
     with pytest.raises(ValueError, match="exceeds the brute-force bound 8"):
-        next(generate_irreducible(9))
+        next(enumerate_decompositions(9, irreducible_only=True))
     with pytest.raises(ValueError, match="positive"):
-        next(generate_irreducible(0))
+        next(enumerate_decompositions(0, irreducible_only=True))
 
 
 def _nonidentity(n):
@@ -600,56 +599,52 @@ def test_irreducible_candidates_are_the_structural_filter(n):
         assert sorted(listed) == [p for p in _nonidentity(n) if is_irreducible(p)]
 
 
+def _one_descent(n):
+    return [p for p in perms(n) if sum(a > b for a, b in zip(p, p[1:])) == 1]
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_one_descent_candidates_are_the_descent_scan(n):
-    listed = list(decompose._one_descent_permutations(n))
+    listed = _one_descent(n)
     assert len(listed) == 2**n - n - 1
-    assert sorted(listed) == [
-        p for p in perms(n) if sum(a > b for a, b in zip(p, p[1:])) == 1
-    ]
-    # one simple root each, so none splits: maximal listings need no filter
+    # one simple root each, so none splits: maximal decompositions are irreducible
     assert all(is_irreducible_structural(p) for p in listed)
     if n <= 5:
         assert all(is_irreducible(p) for p in listed)
 
 
-@pytest.fixture
-def structural_calls(monkeypatch):
-    """The argument of every decompose.is_irreducible_structural call made during the test."""
-    calls = []
-    real = decompose.is_irreducible_structural
-
-    def counting(sigma):
-        calls.append(sigma)
-        return real(sigma)
-
-    monkeypatch.setattr(decompose, "is_irreducible_structural", counting)
-    return calls
+@pytest.mark.parametrize("n", range(1, 8))
+def test_maximal_listing_equals_the_one_descent_search(n):
+    # the maximal parts are the one-descent permutations; the listing is
+    # built from the (2 1) skeleton instead of searched for
+    parts = [(p, inversion_set(p).roots) for p in _one_descent(n)]
+    covers = exact_covers(all_roots(n), simple_roots(n), parts, n - 1)
+    searched = sorted((Decomposition(n, cover) for cover in covers), key=lambda d: d.parts)
+    assert list(enumerate_decompositions(n, maximal=True)) == searched
 
 
-def test_irreducible_search_lists_its_candidates_without_testing_them(structural_calls):
+def test_irreducible_search_lists_its_candidates_without_testing_them(count_calls):
+    structural_calls = count_calls(decompose, "is_irreducible_structural")
     # a filtered scan would test all 5,040 permutations of degree 7
-    assert acceptance._searched_irreducible_count(7) == 717
+    assert len(acceptance._searched_irreducible_decompositions(7)) == 717
     assert sum(1 for _ in enumerate_decompositions(7, irreducible_only=True)) == 717
-    # every one-descent permutation is irreducible, so none is tested
+    # every maximal decomposition is irreducible, so none is tested
     maximal = list(enumerate_decompositions(6, maximal=True))
     assert list(enumerate_decompositions(6, maximal=True, irreducible_only=True)) == maximal
     assert (len(maximal), structural_calls) == (42, [])
 
 
-def test_too_many_parts_list_nothing_without_a_search(monkeypatch):
-    searches = []
-    real = decompose.exact_covers
-
-    def counting(*args, **kwargs):
-        searches.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(decompose, "exact_covers", counting)
+def test_too_many_parts_list_nothing_without_a_search(count_calls):
+    searches = count_calls(decompose, "exact_covers")
+    builds = count_calls(decompose, "_skeletons")
     # each nonempty part holds one of the n - 1 simple roots
     assert list(enumerate_decompositions(7, 7)) == []
     assert list(enumerate_decompositions(7, 50)) == []
+    # and at n > 1 some part is nonempty
+    assert list(enumerate_decompositions(8, 0)) == []
+    assert list(enumerate_decompositions(8, 0, irreducible_only=True)) == []
     assert searches == []
+    assert builds == []
 
 
 @pytest.mark.parametrize("n", range(1, 7))
