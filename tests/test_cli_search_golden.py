@@ -3,8 +3,11 @@
 ``golden/search_digests.json`` holds the exit code and the SHA-256 digests
 of stdout and stderr for the four enumerations of the benchmark's ``search``
 workload.  They take 2-3 s together, so they sit apart from
-``test_cli_golden.py``.  A change meant to alter these outputs records the file
-again and shows the new digests in its diff::
+``test_cli_golden.py``.  ``golden/listing_digests.json`` does the same for
+the plain listings at n = 7 (unrestricted, ``--parts 2..6`` and padded
+``--parts 5|6``) and at n = 8 with ``--parts 1|2|3``, which take seconds
+more.  A change meant to alter these outputs records the files again and
+shows the new digests in its diff::
 
     PYTHONPATH=src python tests/test_cli_search_golden.py
 """
@@ -16,7 +19,7 @@ from pathlib import Path
 
 from test_cli_golden import _call
 
-GOLDEN = Path(__file__).parent / "golden" / "search_digests.json"
+GOLDEN = Path(__file__).parent / "golden"
 
 SEARCH_CALLS = [
     ["enumerate", "--n", "7", "--parts", "3", "--allow-identity", "--format", "csv"],
@@ -25,17 +28,32 @@ SEARCH_CALLS = [
     ["enumerate", "--n", "8", "--maximal"],
 ]
 
+LISTING_CALLS = [
+    ["enumerate", "--n", "7"],
+    *(["enumerate", "--n", "7", "--parts", str(r)] for r in range(2, 7)),
+    *(["enumerate", "--n", "7", "--parts", r, "--allow-identity"] for r in ("5", "6")),
+    *(["enumerate", "--n", "8", "--parts", str(r)] for r in range(1, 4)),
+]
+
+FILES = {"search_digests.json": SEARCH_CALLS, "listing_digests.json": LISTING_CALLS}
+
+
+def _mismatched(name: str) -> list[list[str]]:
+    expected = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    assert [entry["argv"] for entry in expected] == FILES[name]
+    return [entry["argv"] for entry in expected if _call(entry["argv"]) != entry]
+
 
 def test_search_outputs_match_the_recorded_digests():
-    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert [entry["argv"] for entry in expected] == SEARCH_CALLS
-    mismatched = [
-        entry["argv"] for entry in expected if _call(entry["argv"]) != entry
-    ]
-    assert not mismatched, mismatched
+    assert not _mismatched("search_digests.json")
+
+
+def test_listing_outputs_match_the_recorded_digests():
+    assert not _mismatched("listing_digests.json")
 
 
 if __name__ == "__main__":
-    lines = ",\n".join(json.dumps(_call(argv)) for argv in SEARCH_CALLS)
-    GOLDEN.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
-    print(f"wrote {GOLDEN}")
+    for name, calls in FILES.items():
+        lines = ",\n".join(json.dumps(_call(argv)) for argv in calls)
+        (GOLDEN / name).write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+        print(f"wrote {GOLDEN / name}")
