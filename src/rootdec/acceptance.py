@@ -61,8 +61,6 @@ from .bcgroups import (
     mirror_index,
 )
 from .decompose import (
-    Decomposition,
-    _irreducible_permutations,
     count_structural,
     enumerate_decompositions,
     exact_covers,
@@ -282,38 +280,36 @@ def criterion_3() -> Check:
     )
 
 
-def _brute_bc_counts(family: str, n: int) -> tuple[int, int, int]:
-    """Exhaustive (irreducible, maximal, triples) counts over W(B_n)/W(C_n).
+def _searched_counts(
+    degree: int, parts: list[tuple[object, frozenset]], irreducible: list, maximal: int
+) -> tuple[int, int, int]:
+    """Exhaustive (irreducible, maximal, triples) counts by exact-cover search.
 
-    Independent of the structural recursions: counts the exact covers of the
-    ambient positive system by the embeddings' inversion sets, which are the
-    covers of the B/C positive roots by B/C inversion sets.  A maximal
-    decomposition has n parts, one per B/C simple root; each part of a
-    split would need one of its own, so the maximal decompositions are the
-    irreducible covers with n parts.
+    ``parts`` holds (item, root set) pairs, one per nonempty inversion set
+    of the degree-``degree`` system, and ``irreducible`` those that cannot
+    split.  Each part of a split maximal part would need a simple root of
+    its own, so the maximal decompositions, with ``maximal`` parts, are the
+    irreducible covers of that size.  Shares no code with the structural
+    recursions or the listing.
+    """
+    roots, simple = all_roots(degree), simple_roots(degree)
+    sizes = [len(cover) for cover in exact_covers(roots, simple, irreducible)]
+    triples = exact_covers(roots, simple, parts, 3, pad=True)
+    return len(sizes), sizes.count(maximal), sum(1 for _ in triples)
+
+
+def _brute_bc_counts(family: str, n: int) -> tuple[int, int, int]:
+    """:func:`_searched_counts` over W(B_n)/W(C_n), on the symmetric embeddings.
+
+    The covers of the ambient positive system by the embeddings' inversion
+    sets are the covers of the B/C positive roots by B/C inversion sets; a
+    set is irreducible when no smaller set leaves an inversion set.
     """
     embed = embed_B if family == TYPE_B else embed_C
     sets = dict.fromkeys(inversion_set(embed(sigma)).roots for sigma in all_signed_permutations(n))
     del sets[frozenset()]
-    degree = ambient_degree(family, n)
-    roots, simple = all_roots(degree), simple_roots(degree)
     irreducible = [(s, s) for s in sets if not any(t < s and s - t in sets for t in sets)]
-    sizes = [len(cover) for cover in exact_covers(roots, simple, irreducible)]
-    triples = exact_covers(roots, simple, [(s, s) for s in sets], 3, pad=True)
-    return len(sizes), sizes.count(n), sum(1 for _ in triples)
-
-
-def _searched_irreducible_decompositions(n: int) -> list[Decomposition]:
-    """The decompositions of degree ``n`` into irreducible parts, found by search.
-
-    The covers of the positive system by the direct list of irreducible
-    permutations, each checked as a :class:`Decomposition`.  The public
-    listing builds them by the recursion that ``count_structural`` counts;
-    the search finds them without it.
-    """
-    parts = [(p, inversion_set(p).roots) for p in _irreducible_permutations(n)]
-    covers = exact_covers(all_roots(n), simple_roots(n), parts)
-    return [Decomposition(n, cover) for cover in covers]
+    return _searched_counts(ambient_degree(family, n), [(s, s) for s in sets], irreducible, n)
 
 
 def criterion_4() -> Check:
@@ -324,11 +320,10 @@ def criterion_4() -> Check:
     table_irreducible = count_structural("A_IRREDUCIBLE", 7)
     table_maximal = count_structural("A_MAXIMAL", 7)
     for n in range(1, 8):
-        triples = sum(1 for _ in enumerate_decompositions(n, 3, allow_identity=True))
-        searched = _searched_irreducible_decompositions(n)
-        irreducible = len(searched)
-        # a maximal part cannot split, so these are the maximal decompositions
-        maximal = sum(1 for d in searched if len(d) == n - 1)
+        perms = itertools.permutations(range(1, n + 1))
+        parts = [(p, roots) for p in perms if (roots := inversion_set(p).roots)]
+        candidates = [(p, roots) for p, roots in parts if is_irreducible_structural(p)]
+        irreducible, maximal, triples = _searched_counts(n, parts, candidates, n - 1)
         if triples != table_triples[n]:
             problems.append(f"A triples n={n}: brute {triples} vs structural {table_triples[n]}")
         if irreducible != table_irreducible[n]:

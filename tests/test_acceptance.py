@@ -64,16 +64,16 @@ def test_passing_criteria(verdicts, number):
 
 
 def test_maximal_counts_are_read_off_the_irreducible_searches(count_calls):
-    # one exact-cover search per listing, 26 in criterion 4: triples and
-    # irreducible at n <= 7, irreducible and triples per B/C family at n <= 3;
-    # no maximal search
+    # two exact-cover searches per degree, 26 in criterion 4: irreducible
+    # and triples at n <= 7 and per B/C family at n <= 3; no maximal search,
+    # and none inside the listing, which criterion 4 no longer calls
     searches = count_calls(acceptance, "exact_covers")
     listings = count_calls(decompose, "exact_covers")
     assert acceptance.criterion_4()[0]
-    assert (len(listings), len(searches)) == (7, 19)
+    assert (len(listings), len(searches)) == (0, 26)
     searches.clear()
     assert acceptance.criterion_8()[0]
-    assert (len(listings), len(searches)) == (7, 6)
+    assert (len(listings), len(searches)) == (0, 6)
 
 
 def test_criterion_2_fails_on_the_series_tail(verdicts):

@@ -318,6 +318,13 @@ def test_enumerate_irreducible_is_built_without_a_search(capsys, count_calls):
     assert (code, out.splitlines()[-1], searches) == (0, "count: 14", [])
     code, out, _ = run(capsys, "enumerate", "--n", "5", "--maximal")
     assert (code, out.splitlines()[-1], searches) == (0, "count: 14", [])
+    # the other listings coarsen the built ones, with or without --parts
+    code, out, _ = run(capsys, "enumerate", "--n", "6")
+    assert (code, out.splitlines()[-1], searches) == (0, "count: 1522", [])
+    code, out, _ = run(capsys, "enumerate", "--n", "8", "--parts", "1")
+    assert (code, out, searches) == (0, "8 7 6 5 4 3 2 1\ncount: 1\n", [])
+    code, out, _ = run(capsys, "enumerate", "--n", "6", "--parts", "3", "--allow-identity")
+    assert (code, out.splitlines()[-1], searches) == (0, "count: 1116", [])
 
 
 def test_verify_builds_one_simple_form_per_part(capsys, monkeypatch):

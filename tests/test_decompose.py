@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootdec import acceptance, decompose
+from rootdec import decompose
 from rootdec.decompose import (
     FAMILIES,
     CountTable,
@@ -32,11 +33,13 @@ from rootdec.genseries import (
     simple_pairs_A,
 )
 from rootdec.permcore import (
+    RootSubset,
     all_roots,
     compose,
     identity,
     inversion_set,
     longest,
+    permutation_from_inversion_set,
     simple_roots,
 )
 
@@ -257,6 +260,31 @@ def test_merge_rejects_non_inversion_set_union():
     # {(1,2)} with {(2,3)} is not closed: (1,3) is forced but absent
     with pytest.raises(ValueError):
         merge(3, [(2, 1, 3), (1, 3, 2)])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_merge_is_the_union_of_the_parts(n):
+    # every subset of the parts of a decomposition merges to its union
+    for d in enumerate_decompositions(n):
+        for size in range(len(d) + 1):
+            for subset in itertools.combinations(d.parts, size):
+                union = set().union(*(inversion_set(p).roots for p in subset))
+                assert merge(n, subset) == permutation_from_inversion_set(RootSubset(n, union))
+    # other disjoint parts may not: then merge raises permcore's message
+    rejected = 0
+    for first, second in itertools.combinations(_nonidentity(n), 2):
+        union = inversion_set(first).roots | inversion_set(second).roots
+        if len(union) < inversion_count(first) + inversion_count(second):
+            continue
+        try:
+            expected = permutation_from_inversion_set(RootSubset(n, union))
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                merge(n, [first, second])
+            rejected += 1
+        else:
+            assert merge(n, [first, second]) == expected
+    assert (rejected > 0) == (n >= 3)
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +601,22 @@ def test_irreducible_listings_by_part_count_equal_the_search(n):
         assert list(listed) == padded
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_listings_equal_the_search_over_all_permutations(n):
+    # every decomposition is a coarsening of a built irreducible one; the
+    # reference searches the covers among all n! - 1 nonidentity permutations
+    parts = [(p, inversion_set(p).roots) for p in _nonidentity(n)]
+    for r in [None, *range(n + 2)]:
+        for pad in [False] if r is None else [False, True]:
+            covers = exact_covers(all_roots(n), simple_roots(n), parts, r, pad=pad)
+            searched = [
+                Decomposition(n, cover + ((identity(n),) * (r - len(cover)) if pad else ()))
+                for cover in covers
+            ]
+            searched.sort(key=lambda d: d.parts)
+            assert list(enumerate_decompositions(n, r, allow_identity=pad)) == searched
+
+
 def test_generated_irreducible_counts_match_the_structural_table():
     table = count_structural("A_IRREDUCIBLE", 8)
     generated = [enumerate_decompositions(n, irreducible_only=True) for n in range(1, 9)]
@@ -592,11 +636,13 @@ def _nonidentity(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_irreducible_candidates_are_the_structural_filter(n):
-    listed = list(decompose._irreducible_permutations(n))
-    assert len(set(listed)) == len(listed)
-    assert sorted(listed) == [p for p in _nonidentity(n) if is_irreducible_structural(p)]
+    # criterion 4 searches the irreducible decompositions among the
+    # structurally irreducible permutations; each of them is a part of some
+    # built decomposition, and no other permutation is
+    built = {part for parts in decompose._built_decompositions(n, n) for part in parts}
+    assert sorted(built) == [p for p in _nonidentity(n) if is_irreducible_structural(p)]
     if n <= 5:
-        assert sorted(listed) == [p for p in _nonidentity(n) if is_irreducible(p)]
+        assert sorted(built) == [p for p in _nonidentity(n) if is_irreducible(p)]
 
 
 def _one_descent(n):
@@ -626,7 +672,6 @@ def test_maximal_listing_equals_the_one_descent_search(n):
 def test_irreducible_search_lists_its_candidates_without_testing_them(count_calls):
     structural_calls = count_calls(decompose, "is_irreducible_structural")
     # a filtered scan would test all 5,040 permutations of degree 7
-    assert len(acceptance._searched_irreducible_decompositions(7)) == 717
     assert sum(1 for _ in enumerate_decompositions(7, irreducible_only=True)) == 717
     # every maximal decomposition is irreducible, so none is tested
     maximal = list(enumerate_decompositions(6, maximal=True))
@@ -640,9 +685,11 @@ def test_too_many_parts_list_nothing_without_a_search(count_calls):
     # each nonempty part holds one of the n - 1 simple roots
     assert list(enumerate_decompositions(7, 7)) == []
     assert list(enumerate_decompositions(7, 50)) == []
-    # and at n > 1 some part is nonempty
+    # and at n > 1 some part is nonempty, padded or not
     assert list(enumerate_decompositions(8, 0)) == []
     assert list(enumerate_decompositions(8, 0, irreducible_only=True)) == []
+    assert list(enumerate_decompositions(8, 0, allow_identity=True)) == []
+    assert list(enumerate_decompositions(2, 0, irreducible_only=True, allow_identity=True)) == []
     assert searches == []
     assert builds == []
 
