@@ -281,7 +281,10 @@ def criterion_3() -> Check:
 
 
 def _searched_counts(
-    degree: int, parts: list[tuple[object, frozenset]], irreducible: list, maximal: int
+    degree: int,
+    parts: list[tuple[object, frozenset]],
+    irreducible: list[tuple[object, frozenset]],
+    maximal: int,
 ) -> tuple[int, int, int]:
     """Exhaustive (irreducible, maximal, triples) counts by exact-cover search.
 
