@@ -43,7 +43,7 @@ from .decompose import (
     count_structural,
     enumerate_decompositions,
     inversion_count,
-    simple_form_and_irreducibility,
+    is_irreducible_structural,
     verify_decomposition,
 )
 from .genseries import (
@@ -268,13 +268,12 @@ def _emit_indexed(fmt: str, label: str, column: str, name: str, start: int, valu
 
 def _part_report(index: int, text: str, inversions: int, sigma) -> dict[str, object]:
     """One part's row; the last two columns treat ``sigma`` (a B/C part's embedding) as type A."""
-    form, irreducible = simple_form_and_irreducibility(sigma)
     return {
         "index": index,
         "permutation": text,
         "inversions": inversions,
-        "irreducible": irreducible,
-        "simple_form": str(form) if form else "-",
+        "irreducible": is_irreducible_structural(sigma),
+        "simple_form": str(simple_form(sigma)) if len(sigma) > 1 else "-",
     }
 
 

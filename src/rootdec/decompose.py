@@ -2,8 +2,9 @@
 
 A decomposition writes every positive root exactly once across a collection
 of permutations' inversion sets.  This module verifies candidate
-decompositions, tests irreducibility of single inversion sets (both by brute
-force and structurally through the simple form), lists decompositions for
+decompositions, tests irreducibility of single inversion sets (by brute
+force, and structurally by the paper's shape of an irreducible part: a
+simple skeleton inflated by identity blocks), lists decompositions for
 small degrees (building the irreducible ones from the paper's description
 and merging their parts into the others), and counts them for large degrees
 with recursive dynamic programs that never enumerate.  The exact-cover
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import AbstractSet, Hashable, Iterable, Iterator, TypeVar
 
-from .inflation import IDENTITY, REVERSAL, SIMPLE, SimpleForm, inflate, is_simple, simple_form
+from .inflation import inflate, is_simple
 from .permcore import (
     Perm,
     Root,
@@ -46,6 +47,7 @@ from .permcore import (
     inversion_set,
     is_inversion_set,
     permutation_from_inversion_set,
+    restrict,
 )
 
 __all__ = [
@@ -62,7 +64,6 @@ __all__ = [
     "is_irreducible",
     "is_irreducible_structural",
     "merge",
-    "simple_form_and_irreducibility",
     "verify_decomposition",
 ]
 
@@ -82,8 +83,8 @@ FAMILIES = (
 # of every set partition of each.  In process on 2 cores the unrestricted
 # degree-8 listing, 271,497 decompositions, takes about 9.5 s.  At degree 9
 # the 49,570 irreducible decompositions give 8,703,505 (decomposition,
-# coarsening) pairs, 16 s to generate before duplicates are removed and each
-# result is checked and held for the sort.
+# coarsening) pairs, 16 s to generate before duplicates are removed, the part
+# tuples are held for the sort and each result is checked.
 DEFAULT_ENUMERATION_BOUND = 8
 # Measured in process on a 2-core machine: every family takes at most 0.03 s
 # at n_max = 64, while at 128 all but the two Catalan ones take 0.07-0.22 s.
@@ -322,54 +323,37 @@ def is_irreducible(sigma: Perm) -> bool:
 
 
 def is_irreducible_structural(sigma: Perm) -> bool:
-    """Irreducibility through the simple form, equivalent to :func:`is_irreducible`.
+    """Irreducibility from the paper's description, equivalent to :func:`is_irreducible`.
 
-    A nonidentity permutation is irreducible exactly when its simple form is
+    A nonidentity permutation is irreducible exactly when it is
+    id_a ⊕ S[id_k1, ..., id_km] ⊕ id_b with S simple, (2 1) included (no
+    degree-3 permutation is simple).  So strip the fixed points at both
+    ends and collapse each maximal run of values rising by one to its first
+    position.  No two adjacent values of a simple S rise by one, so each
+    identity block is one run and what is left is S; the inflation of a
+    simple skeleton is unique (Albert and Atkinson, Discrete Math. 300,
+    2005).  (1, 4, 5, 2, 3, 6) strips to (4, 5, 2, 3), which collapses to
+    (2, 1); (2, 1, 4, 3) collapses to itself, which is not simple.
 
-    * a simple skeleton of degree >= 4 with all parts identity, or
-    * the two-block descending skeleton with both parts identity, or
-    * an identity skeleton with exactly one nonidentity part, itself
-      irreducible (recursively): the inversion set then sits inside one
-      interval and splits there or not at all.
-
-    >>> is_irreducible_structural((1, 3, 2, 4))
+    >>> restrict((1, 4, 5, 2, 3, 6), [2, 4])  # the run starts of (4, 5, 2, 3)
+    (2, 1)
+    >>> is_irreducible_structural((1, 4, 5, 2, 3, 6))
     True
+    >>> is_irreducible_structural((2, 1, 4, 3))
+    False
     >>> [p for p in itertools.permutations((1, 2, 3)) if is_irreducible_structural(p)]
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
     """
     sigma = check_permutation(sigma)
-    return sigma == identity(len(sigma)) or _form_is_irreducible(simple_form(sigma))
-
-
-def simple_form_and_irreducibility(sigma: Perm) -> tuple[SimpleForm | None, bool]:
-    """``simple_form(sigma)`` (None at degree 1) and :func:`is_irreducible_structural`.
-
-    Both come from one simple form, so a caller that reports both builds it once.
-
-    >>> form, irreducible = simple_form_and_irreducibility((3, 2, 1))
-    >>> str(form), irreducible
-    ('(3,2,1)[(1),(1),(1)]', False)
-    >>> simple_form_and_irreducibility((1,))
-    (None, True)
-    """
-    sigma = check_permutation(sigma)
-    form = simple_form(sigma) if len(sigma) >= 2 else None
-    return form, sigma == identity(len(sigma)) or _form_is_irreducible(form)
-
-
-def _form_is_irreducible(form: SimpleForm) -> bool:
-    """:func:`is_irreducible_structural` of a nonidentity permutation, given its simple form."""
-    if form.skeleton_kind == SIMPLE:
-        return all(part == identity(len(part)) for part in form.parts)
-    if form.skeleton_kind == REVERSAL:
-        return len(form.parts) == 2 and all(
-            part == identity(len(part)) for part in form.parts
-        )
-    assert form.skeleton_kind == IDENTITY
-    nontrivial = [part for part in form.parts if part != identity(len(part))]
-    if len(nontrivial) != 1:
-        return False
-    return is_irreducible_structural(nontrivial[0])
+    low, high = 0, len(sigma)
+    while low < high and sigma[low] == low + 1:
+        low += 1
+    while high > low and sigma[high - 1] == high:
+        high -= 1
+    if low == high:
+        return True
+    starts = [i + 1 for i in range(low, high) if i == low or sigma[i] != sigma[i - 1] + 1]
+    return is_simple(restrict(sigma, starts))
 
 
 # ---------------------------------------------------------------------------
@@ -670,19 +654,13 @@ def enumerate_decompositions(
     least = 0 if r is None or allow_identity else r
     built = _built_decompositions(n, 2 if maximal else n)
     if irreducible_only or maximal:
-        covers = [parts for parts in built if r is None or least <= len(parts) <= r]
+        covers = (parts for parts in built if r is None or least <= len(parts) <= r)
     else:
-        covers = {
-            tuple(sorted(cover)) for parts in built for cover in _coarsenings(parts, least, r)
-        }
-
-    results = []
-    for cover in covers:
-        if r is not None:
-            cover += (identity(n),) * (r - len(cover))
-        results.append(Decomposition(n, cover))
-    results.sort(key=lambda d: d.parts)
-    yield from results
+        covers = (cover for parts in built for cover in _coarsenings(parts, least, r))
+    # the identity sorts first, so padding a sorted cover in front keeps it sorted
+    padding = () if r is None else (identity(n),) * r
+    for parts in sorted({(*padding[len(cover) :], *sorted(cover)) for cover in covers}):
+        yield Decomposition(n, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootdec import cli, decompose, inflation, lrcone
+from rootdec import cli, decompose, lrcone
 from rootdec.cli import (
     MAX_RAYS_DEGREE,
     MAX_SERIES_ORDER,
@@ -327,21 +327,12 @@ def test_enumerate_irreducible_is_built_without_a_search(capsys, count_calls):
     assert (code, out.splitlines()[-1], searches) == (0, "count: 1116", [])
 
 
-def test_verify_builds_one_simple_form_per_part(capsys, monkeypatch):
+def test_verify_builds_one_simple_form_per_part(capsys, count_calls):
     triple = _random_triple(random.Random(400), 400)
-    calls = []
-    real = inflation.simple_form
-
-    def counting(sigma):
-        calls.append(tuple(sigma))
-        return real(sigma)
-
-    monkeypatch.setattr(decompose, "simple_form", counting)
+    calls = count_calls(cli, "simple_form")
     text = "; ".join(" ".join(map(str, part)) for part in triple)
     assert run(capsys, "verify", "--perms", text)[0] == 0
-    # one form per part serves both columns; the irreducibility test may
-    # recurse into forms of smaller permutations
-    assert sum(sigma in triple for sigma in calls) == 3
+    assert [tuple(sigma) for sigma, in calls] == list(triple)
 
 
 def test_enumerate_machine_formats(capsys):

@@ -309,9 +309,9 @@ def test_structural_irreducibility_matches_brute_force(n):
 
 def test_irreducible_element_census():
     census = [
-        sum(1 for p in perms(n) if is_irreducible_structural(p)) for n in range(1, 7)
+        sum(1 for p in perms(n) if is_irreducible_structural(p)) for n in range(1, 9)
     ]
-    assert census == [1, 2, 5, 13, 39, 166]
+    assert census == [1, 2, 5, 13, 39, 166, 1043, 8465]
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +634,7 @@ def _nonidentity(n):
     return [p for p in perms(n) if p != identity(n)]
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_irreducible_candidates_are_the_structural_filter(n):
     # criterion 4 searches the irreducible decompositions among the
     # structurally irreducible permutations; each of them is a part of some
