@@ -56,8 +56,8 @@ from .genseries import (
     series_SB,
     simple_pairs_A,
 )
-from .inflation import simple_form
-from .permcore import format_permutation, parse_permutation
+from .inflation import SIMPLE, simple_form
+from .permcore import format_permutation, identity, parse_permutation
 
 OUTPUT_FORMATS = ("text", "csv", "json")
 DEFAULT_SERIES_ORDER = 40
@@ -268,12 +268,20 @@ def _emit_indexed(fmt: str, label: str, column: str, name: str, start: int, valu
 
 def _part_report(index: int, text: str, inversions: int, sigma) -> dict[str, object]:
     """One part's row; the last two columns treat ``sigma`` (a B/C part's embedding) as type A."""
+    form = simple_form(sigma) if len(sigma) > 1 else None
+    if form is not None and form.skeleton_kind == SIMPLE:
+        # the form has walked sigma already; with a simple skeleton of degree
+        # >= 4 sigma is plus- and minus-indecomposable, so the paper's shape
+        # has no fixed ends and sigma is irreducible iff every block is an identity
+        irreducible = all(part == identity(len(part)) for part in form.parts)
+    else:
+        irreducible = is_irreducible_structural(sigma)
     return {
         "index": index,
         "permutation": text,
         "inversions": inversions,
-        "irreducible": is_irreducible_structural(sigma),
-        "simple_form": str(simple_form(sigma)) if len(sigma) > 1 else "-",
+        "irreducible": irreducible,
+        "simple_form": str(form) if form else "-",
     }
 
 

@@ -335,8 +335,6 @@ def is_irreducible_structural(sigma: Perm) -> bool:
     2005).  (1, 4, 5, 2, 3, 6) strips to (4, 5, 2, 3), which collapses to
     (2, 1); (2, 1, 4, 3) collapses to itself, which is not simple.
 
-    >>> restrict((1, 4, 5, 2, 3, 6), [2, 4])  # the run starts of (4, 5, 2, 3)
-    (2, 1)
     >>> is_irreducible_structural((1, 4, 5, 2, 3, 6))
     True
     >>> is_irreducible_structural((2, 1, 4, 3))

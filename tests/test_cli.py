@@ -6,6 +6,7 @@ import contextlib
 import csv
 import errno
 import io
+import itertools
 import json
 import os
 import random
@@ -329,10 +330,29 @@ def test_enumerate_irreducible_is_built_without_a_search(capsys, count_calls):
 
 def test_verify_builds_one_simple_form_per_part(capsys, count_calls):
     triple = _random_triple(random.Random(400), 400)
-    calls = count_calls(cli, "simple_form")
+    forms = count_calls(cli, "simple_form")
+    walks = count_calls(decompose, "is_simple")
     text = "; ".join(" ".join(map(str, part)) for part in triple)
     assert run(capsys, "verify", "--perms", text)[0] == 0
-    assert [tuple(sigma) for sigma, in calls] == list(triple)
+    assert [tuple(sigma) for sigma, in forms] == list(triple)
+    # the embeddings of a random signed pair are simple, and building their
+    # forms walks them: the irreducibility rule must not walk them again
+    rng = random.Random(100)
+    sigma = [v * rng.choice((1, -1)) for v in rng.sample(range(1, 101), 100)]
+    pair = " ".join(map(str, sigma)) + "; " + " ".join(str(-v) for v in sigma)
+    forms.clear()
+    walks.clear()
+    assert run(capsys, "verify", "--type", "B", "--perms", pair)[0] == 0
+    assert ([len(embedding) for embedding, in forms], walks) == ([201, 201], [])
+
+
+def test_part_report_irreducible_column_is_the_rule():
+    # the report reads irreducibility off a simple skeleton's form and
+    # asks the rule for every other part
+    for n in range(1, 8):
+        for sigma in itertools.permutations(range(1, n + 1)):
+            row = cli._part_report(1, "", 0, sigma)
+            assert row["irreducible"] == decompose.is_irreducible_structural(sigma), sigma
 
 
 def test_enumerate_machine_formats(capsys):
