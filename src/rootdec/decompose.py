@@ -31,6 +31,7 @@ Counting families:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -81,7 +82,7 @@ FAMILIES = (
 # Every listing starts from the irreducible decompositions, built without a
 # search, and the unrestricted and fixed-part-count listings merge the blocks
 # of every set partition of each.  In process on 2 cores the unrestricted
-# degree-8 listing, 271,497 decompositions, takes about 9.5 s.  At degree 9
+# degree-8 listing, 271,497 decompositions, takes about 7 s.  At degree 9
 # the 49,570 irreducible decompositions give 8,703,505 (decomposition,
 # coarsening) pairs, 16 s to generate before duplicates are removed, the part
 # tuples are held for the sort and each result is checked.
@@ -103,25 +104,38 @@ class Decomposition:
 
     Parts are stored sorted lexicographically by one-line notation; identity
     parts may repeat (a multiset), nonidentity parts never can since their
-    inversion sets would overlap.  Construction checks each part once and
-    runs the checks of :func:`verify_decomposition` on them, raising
+    inversion sets would overlap.  Construction checks each part and runs
+    the checks of :func:`verify_decomposition` on them, raising
     ``ValueError`` with its detail, so every instance is a genuine
     decomposition.
+
+    Every bit of a part's inversion mask is a positive root, so parts of
+    degree n partition the n(n - 1)/2 roots exactly when their masks hold
+    that many bits together (no overlap, given the next) and their union
+    does too (no gap).  Masks are cached per part, and only a rejected
+    candidate reaches the row check that names the fault.
     """
 
     n: int
     parts: tuple[Perm, ...]
 
     def __post_init__(self) -> None:
+        n = self.n
         parts = tuple(sorted(check_permutation(p) for p in self.parts))
         object.__setattr__(self, "parts", parts)
-        fault = _partition_fault(self.n, parts, allow_identity=True)
+        if n >= 1 and all(len(part) == n for part in parts):
+            bits = union = 0
+            for mask in map(_inversion_mask, parts):
+                bits += mask.bit_count()
+                union |= mask
+            if bits == math.comb(n, 2) == union.bit_count():
+                return
+        fault = _partition_fault(n, parts, allow_identity=True)
         if fault:
             raise ValueError(fault)
 
     def __str__(self) -> str:
-        # the parts were checked on construction
-        return " | ".join(" ".join(map(str, p)) for p in self.parts)
+        return " | ".join(map(_part_text, self.parts))
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -184,6 +198,23 @@ def _inversion_rows(sigma: Perm) -> list[int]:
         rows[i] = smaller >> (i + 1) << (i + 1)
         smaller |= 1 << i
     return rows
+
+
+# This cache and the next hold every part of the largest listable degree.
+@functools.lru_cache(maxsize=math.factorial(DEFAULT_ENUMERATION_BOUND))
+def _inversion_mask(sigma: Perm) -> int:
+    """Bit ``i * n + j`` is set when ``sigma`` inverts 0-based positions ``i < j``."""
+    n = len(sigma)
+    return sum(row << i * n for i, row in enumerate(_inversion_rows(sigma)))
+
+
+@functools.lru_cache(maxsize=math.factorial(DEFAULT_ENUMERATION_BOUND))
+def _part_text(sigma: Perm) -> str:
+    """One checked part in one-line notation, as :class:`Decomposition` prints it.
+
+    Equal tuples share one entry, so the images are printed as ints.
+    """
+    return " ".join(map(str, map(int, sigma)))
 
 
 def inversion_count(sigma: Perm) -> int:
@@ -613,7 +644,8 @@ def enumerate_decompositions(
 
     Each nonempty part holds a simple root, and at n > 1 some part is
     nonempty, so without padding every listed decomposition has 1 to n - 1
-    parts (none at n = 1), and no listing with r = 0 has a member at n > 1.
+    parts (none at n = 1), and no listing with r = 0 has a member at n > 1,
+    nor an irreducible one with r < 2 at n >= 3.
     Every listing starts from the irreducible decompositions, built from
     the paper's description (:func:`_built_decompositions`).  A maximal
     part cannot split, since each half would need a simple root of its own,
@@ -647,6 +679,9 @@ def enumerate_decompositions(
     if allow_identity and r is None:
         raise ValueError("padding with identity parts needs a fixed part count r")
     if (r == 0 and n > 1) or (r is not None and r >= n and not allow_identity):
+        return
+    # w0 is reducible at n >= 3, so an irreducible decomposition has at least two parts
+    if irreducible_only and r is not None and r < 2 and n >= 3:
         return
 
     least = 0 if r is None or allow_identity else r

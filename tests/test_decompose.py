@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 
@@ -134,6 +135,52 @@ def test_decomposition_rejects_overlap_and_gaps():
         with pytest.raises(ValueError) as caught:
             Decomposition(3, parts)
         assert str(caught.value) == detail
+
+
+def _faulty_part_lists(n: int, rng: random.Random):
+    """Seeded degree-n part lists: listed decompositions, each with one fault too."""
+    listing = [list(d.parts) for d in enumerate_decompositions(n)]
+    for parts in rng.sample(listing, min(len(listing), 25)):
+        k = rng.randrange(len(parts))
+        yield parts
+        yield [*parts[:k], tuple(rng.sample(range(1, n + 1), n)), *parts[k + 1 :]]
+        yield parts[:k] + parts[k + 1 :]
+        yield [*parts, parts[k]]
+        yield [*parts, *[identity(n)] * rng.randint(1, 3)]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_decomposition_accepts_exactly_what_verify_accepts(n):
+    rng = random.Random(f"decomposition:{n}")
+    outcomes = set()
+    for parts in _faulty_part_lists(n, rng):
+        rng.shuffle(parts)
+        expected = verify_decomposition(n, sorted(parts))
+        try:
+            Decomposition(n, parts)
+        except ValueError as error:
+            assert not expected and str(error) == expected.detail
+        else:
+            assert expected
+        outcomes.add(expected.ok)
+        # a part of the wrong degree raises the same error in both
+        degree = n + rng.choice((-1, 1))
+        wrong = [*parts, tuple(rng.sample(range(1, degree + 1), degree))]
+        with pytest.raises(ValueError, match="degree mismatch") as verified:
+            verify_decomposition(n, sorted(wrong))
+        with pytest.raises(ValueError, match=re.escape(str(verified.value))):
+            Decomposition(n, wrong)
+    assert outcomes == {True, False}
+
+
+def test_listing_builds_rows_once_per_distinct_part(count_calls):
+    for cached in (decompose._inversion_mask, decompose._part_text):
+        assert cached.cache_info().maxsize == math.factorial(decompose.DEFAULT_ENUMERATION_BOUND)
+    decompose._inversion_mask.cache_clear()
+    rows = count_calls(decompose, "_inversion_rows")
+    listing = list(enumerate_decompositions(7, 4, allow_identity=True))
+    assert len(listing) == 17174
+    assert len(rows) == len({part for d in listing for part in d.parts})
 
 
 def test_count_table_lookup_and_bounds():
@@ -690,6 +737,9 @@ def test_too_many_parts_list_nothing_without_a_search(count_calls):
     assert list(enumerate_decompositions(8, 0, irreducible_only=True)) == []
     assert list(enumerate_decompositions(8, 0, allow_identity=True)) == []
     assert list(enumerate_decompositions(2, 0, irreducible_only=True, allow_identity=True)) == []
+    # the only one-part decomposition is w0, which is reducible at n >= 3
+    assert list(enumerate_decompositions(8, 1, irreducible_only=True)) == []
+    assert list(enumerate_decompositions(8, 1, irreducible_only=True, allow_identity=True)) == []
     assert searches == []
     assert builds == []
 
