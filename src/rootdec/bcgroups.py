@@ -54,13 +54,11 @@ __all__ = [
     "embed_B",
     "embed_C",
     "fiber",
-    "from_symmetric_B",
-    "from_symmetric_C",
+    "from_symmetric",
     "is_symmetric",
     "mirror_index",
     "parse_signed_permutation",
-    "project_root_B",
-    "project_root_C",
+    "project_root",
     "symmetric_inflate",
     "verify_bc_decomposition",
 ]
@@ -269,7 +267,15 @@ def is_symmetric(p: Perm) -> bool:
     )
 
 
-def _from_symmetric(family: str, p: Perm) -> SignedPermutation:
+def from_symmetric(family: str, p: Perm) -> SignedPermutation:
+    """Invert :func:`embed_B` (``family`` ``"B"``) or :func:`embed_C` (``"C"``).
+
+    >>> from_symmetric("B", (2, 5, 3, 1, 4))
+    SignedPermutation(images=(2, -1))
+    >>> from_symmetric("C", (2, 1))
+    SignedPermutation(images=(-1,))
+    """
+    _check_family(family)
     p = check_permutation(p)
     degree = len(p)
     if family == TYPE_B and degree % 2 == 0:
@@ -288,26 +294,23 @@ def _from_symmetric(family: str, p: Perm) -> SignedPermutation:
     return SignedPermutation(images)
 
 
-def from_symmetric_B(p: Perm) -> SignedPermutation:
-    """Invert :func:`embed_B`.
-
-    >>> from_symmetric_B((2, 5, 3, 1, 4))
-    SignedPermutation(images=(2, -1))
-    """
-    return _from_symmetric(TYPE_B, p)
-
-
-def from_symmetric_C(p: Perm) -> SignedPermutation:
-    """Invert :func:`embed_C`."""
-    return _from_symmetric(TYPE_C, p)
-
-
 # ---------------------------------------------------------------------------
 # the root projection and its fibers
 
 
-def _project_root(family: str, n: int, root: Root) -> BCRoot:
-    degree = 2 * n + 1 if family == TYPE_B else 2 * n
+def project_root(family: str, n: int, root: Root) -> BCRoot:
+    """Project an ambient positive root onto Δ⁺ of B_n or C_n.
+
+    The ambient degree is 2n+1 for type B and 2n for type C.
+
+    >>> str(project_root("B", 2, (1, 4)))
+    'e1+e2'
+    >>> str(project_root("B", 2, (1, 5)))
+    'e1'
+    >>> str(project_root("C", 2, (2, 3)))
+    '2e2'
+    """
+    degree = ambient_degree(family, n)
     i, j = root
     if not 1 <= i < j <= degree:
         raise ValueError(f"root {root} invalid for degree {degree}")
@@ -321,26 +324,6 @@ def _project_root(family: str, n: int, root: Root) -> BCRoot:
     if family == TYPE_B and k in (i, n + 1):  # i' or the center
         return BCRoot(n, family, SHORT, i)
     return BCRoot(n, family, SUM, min(i, k), max(i, k))
-
-
-def project_root_B(n: int, root: Root) -> BCRoot:
-    """Project an ambient positive root of degree 2n+1 onto Δ⁺ of B_n.
-
-    >>> str(project_root_B(2, (1, 4)))
-    'e1+e2'
-    >>> str(project_root_B(2, (1, 5)))
-    'e1'
-    """
-    return _project_root(TYPE_B, n, root)
-
-
-def project_root_C(n: int, root: Root) -> BCRoot:
-    """Project an ambient positive root of degree 2n onto Δ⁺ of C_n.
-
-    >>> str(project_root_C(2, (2, 3)))
-    '2e2'
-    """
-    return _project_root(TYPE_C, n, root)
 
 
 def bc_positive_roots(family: str, n: int) -> tuple[BCRoot, ...]:
@@ -369,7 +352,7 @@ def bc_positive_roots(family: str, n: int) -> tuple[BCRoot, ...]:
 def _fiber_map(family: str, n: int) -> dict[BCRoot, tuple[Root, ...]]:
     grouped: dict[BCRoot, list[Root]] = {}
     for root in all_roots(ambient_degree(family, n)):
-        grouped.setdefault(_project_root(family, n, root), []).append(root)
+        grouped.setdefault(project_root(family, n, root), []).append(root)
     fibers = {gamma: tuple(roots) for gamma, roots in grouped.items()}
     assert set(fibers) == set(bc_positive_roots(family, n))
     for gamma, roots in fibers.items():
@@ -556,9 +539,7 @@ def symmetric_inflate(
         slots = [*parts, center, *mirrored]
     else:
         slots = [*parts, *mirrored]
-    inflated = inflate(_embed(skeleton, family), slots)
-    assert is_symmetric(inflated), "symmetric inflation produced an asymmetric result"
-    return _from_symmetric(family, inflated)
+    return from_symmetric(family, inflate(_embed(skeleton, family), slots))
 
 
 # ---------------------------------------------------------------------------

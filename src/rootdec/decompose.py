@@ -2,13 +2,13 @@
 
 A decomposition writes every positive root exactly once across a collection
 of permutations' inversion sets.  This module verifies candidate
-decompositions, tests irreducibility of single inversion sets (by brute
-force, and structurally by the paper's shape of an irreducible part: a
-simple skeleton inflated by identity blocks), lists decompositions for
-small degrees (building the irreducible ones from the paper's description
-and merging their parts into the others), and counts them for large degrees
-with recursive dynamic programs that never enumerate.  The exact-cover
-search stays as the acceptance suite's independent route.
+decompositions, tests irreducibility of single inversion sets by the
+paper's shape of an irreducible part (a simple skeleton inflated by
+identity blocks), lists decompositions for small degrees (building the
+irreducible ones from the paper's description and merging their parts into
+the others), and counts them for large degrees with recursive dynamic
+programs that never enumerate.  The exact-cover search stays as the
+acceptance suite's independent route.
 
 The structural counts deliberately share no code with :mod:`rootdec.genseries`:
 the two routes validate each other in the test suite.  All counting here is
@@ -41,13 +41,9 @@ from .inflation import inflate, is_simple
 from .permcore import (
     Perm,
     Root,
-    RootSubset,
     check_permutation,
     format_permutation,
     identity,
-    inversion_set,
-    is_inversion_set,
-    permutation_from_inversion_set,
     restrict,
 )
 
@@ -62,9 +58,7 @@ __all__ = [
     "enumerate_decompositions",
     "exact_covers",
     "inversion_count",
-    "is_irreducible",
     "is_irreducible_structural",
-    "merge",
     "verify_decomposition",
 ]
 
@@ -82,7 +76,7 @@ FAMILIES = (
 # Every listing starts from the irreducible decompositions, built without a
 # search, and the unrestricted and fixed-part-count listings merge the blocks
 # of every set partition of each.  In process on 2 cores the unrestricted
-# degree-8 listing, 271,497 decompositions, takes about 7 s.  At degree 9
+# degree-8 listing, 271,497 decompositions, takes 4-5 s.  At degree 9
 # the 49,570 irreducible decompositions give 8,703,505 (decomposition,
 # coarsening) pairs, 16 s to generate before duplicates are removed, the part
 # tuples are held for the sort and each result is checked.
@@ -180,7 +174,7 @@ class CountTable:
 
 
 # ---------------------------------------------------------------------------
-# verification and merging
+# verification
 
 
 def _inversion_rows(sigma: Perm) -> list[int]:
@@ -304,59 +298,16 @@ def verify_decomposition(
     return VerifyResult(not fault, fault or valid)
 
 
-def merge(n: int, parts: Iterable[Perm]) -> Perm:
-    """The permutation whose inversion set is the union of the parts' sets.
-
-    Any parts of one decomposition merge.  Their union is closed: if roots
-    a and b lie in it and a + b lay in a third part, that part would not be
-    co-closed.  It is co-closed because each part is.  Other parts whose
-    union is no inversion set raise ValueError naming a violating triple.
-
-    >>> merge(3, [(2, 1, 3), (2, 3, 1)])
-    (3, 2, 1)
-    >>> merge(3, [])
-    (1, 2, 3)
-    """
-    union: set[Root] = set()
-    for part in parts:
-        union.update(inversion_set(part))
-    return permutation_from_inversion_set(RootSubset(n, union))
-
-
 # ---------------------------------------------------------------------------
 # irreducibility
 
 
-def is_irreducible(sigma: Perm) -> bool:
-    """Brute-force irreducibility: no split into two nonidentity inversion sets.
-
-    This is the oracle form — it scans every permutation of the degree, so
-    keep it to small degrees.  The identity is irreducible (its inversion
-    set is empty, so every split is trivial).
-
-    >>> is_irreducible((3, 1, 2))
-    True
-    >>> is_irreducible((3, 2, 1))
-    False
-    """
-    sigma = check_permutation(sigma)
-    n = len(sigma)
-    inv = inversion_set(sigma).roots
-    if not inv:
-        return True
-    for alpha in itertools.permutations(range(1, n + 1)):
-        part = inversion_set(alpha).roots
-        if not part or part == inv or not part <= inv:
-            continue
-        if is_inversion_set(RootSubset(n, inv - part)):
-            return False
-    return True
-
-
 def is_irreducible_structural(sigma: Perm) -> bool:
-    """Irreducibility from the paper's description, equivalent to :func:`is_irreducible`.
+    """Irreducibility: no split into two nonidentity inversion sets.
 
-    A nonidentity permutation is irreducible exactly when it is
+    It is read off the paper's description rather than searched for.  The
+    identity is irreducible, since every split of its empty inversion set is
+    trivial, and a nonidentity permutation is irreducible exactly when it is
     id_a ⊕ S[id_k1, ..., id_km] ⊕ id_b with S simple, (2 1) included (no
     degree-3 permutation is simple).  So strip the fixed points at both
     ends and collapse each maximal run of values rising by one to its first
@@ -577,8 +528,10 @@ def _coarsenings(
 ) -> Iterator[tuple[Perm, ...]]:
     """The decompositions that merge the blocks of ``parts``, least..most blocks.
 
-    ``parts`` is a decomposition.  Every union of its parts merges (see
-    :func:`merge`), so each set partition of the parts gives one.  The
+    ``parts`` is a decomposition, and any union of its parts is an inversion
+    set.  It is closed: if roots a and b lie in it and a + b lay in a part
+    outside it, that part would not be co-closed.  It is co-closed because
+    each part is.  So each set partition of the parts gives one.  The
     recursion puts the lowest unmerged part in a block with some of the
     others, so each set partition comes once; with one block left it can
     only be the rest.  A block is a bit mask of part indices, merged when

@@ -33,13 +33,11 @@ from rootdec.bcgroups import (
     embed_B,
     embed_C,
     fiber,
-    from_symmetric_B,
-    from_symmetric_C,
+    from_symmetric,
     is_symmetric,
     mirror_index,
     parse_signed_permutation,
-    project_root_B,
-    project_root_C,
+    project_root,
     symmetric_inflate,
     verify_bc_decomposition,
 )
@@ -47,7 +45,6 @@ from rootdec.decompose import count_structural, exact_covers, verify_decompositi
 from rootdec.permcore import all_roots, compose, inversion_set, longest, simple_roots
 
 EMBED = {TYPE_B: embed_B, TYPE_C: embed_C}
-UNEMBED = {TYPE_B: from_symmetric_B, TYPE_C: from_symmetric_C}
 
 
 def embedded_inversions(sigma: SignedPermutation, family: str):
@@ -145,13 +142,15 @@ def test_is_symmetric_examples():
 
 def test_from_symmetric_validation():
     with pytest.raises(ValueError, match="odd degree"):
-        from_symmetric_B((2, 1))
+        from_symmetric(TYPE_B, (2, 1))
     with pytest.raises(ValueError, match="even degree"):
-        from_symmetric_C((3, 2, 1))
+        from_symmetric(TYPE_C, (3, 2, 1))
     with pytest.raises(ValueError, match="not symmetric"):
-        from_symmetric_B((2, 1, 3))
+        from_symmetric(TYPE_B, (2, 1, 3))
     with pytest.raises(ValueError, match="below"):
-        from_symmetric_B((1,))
+        from_symmetric(TYPE_B, (1,))
+    with pytest.raises(ValueError, match="family must be"):
+        from_symmetric("D", (3, 2, 1))
 
 
 @pytest.mark.parametrize("family", (TYPE_B, TYPE_C))
@@ -161,7 +160,7 @@ def test_embedding_round_trip_exhaustive(family, n):
     for sigma in all_signed_permutations(n):
         image = EMBED[family](sigma)
         assert is_symmetric(image)
-        assert UNEMBED[family](image) == sigma
+        assert from_symmetric(family, image) == sigma
         seen += 1
     assert seen == 2**n * math.factorial(n)
 
@@ -191,21 +190,23 @@ def test_mirror_index_bounds():
 
 
 def test_project_frozen_examples():
-    assert project_root_B(2, (1, 4)) == BCRoot(2, TYPE_B, SUM, 1, 2)
-    assert project_root_B(2, (1, 5)) == BCRoot(2, TYPE_B, SHORT, 1)
-    assert project_root_B(2, (1, 2)) == BCRoot(2, TYPE_B, DIFF, 1, 2)
-    assert project_root_B(2, (4, 5)) == BCRoot(2, TYPE_B, DIFF, 1, 2)
-    assert project_root_B(2, (3, 4)) == BCRoot(2, TYPE_B, SHORT, 2)
-    assert project_root_C(2, (2, 3)) == BCRoot(2, TYPE_C, SUM, 2, 2)
-    assert project_root_C(2, (1, 3)) == BCRoot(2, TYPE_C, SUM, 1, 2)
-    assert project_root_C(2, (3, 4)) == BCRoot(2, TYPE_C, DIFF, 1, 2)
+    assert project_root(TYPE_B, 2, (1, 4)) == BCRoot(2, TYPE_B, SUM, 1, 2)
+    assert project_root(TYPE_B, 2, (1, 5)) == BCRoot(2, TYPE_B, SHORT, 1)
+    assert project_root(TYPE_B, 2, (1, 2)) == BCRoot(2, TYPE_B, DIFF, 1, 2)
+    assert project_root(TYPE_B, 2, (4, 5)) == BCRoot(2, TYPE_B, DIFF, 1, 2)
+    assert project_root(TYPE_B, 2, (3, 4)) == BCRoot(2, TYPE_B, SHORT, 2)
+    assert project_root(TYPE_C, 2, (2, 3)) == BCRoot(2, TYPE_C, SUM, 2, 2)
+    assert project_root(TYPE_C, 2, (1, 3)) == BCRoot(2, TYPE_C, SUM, 1, 2)
+    assert project_root(TYPE_C, 2, (3, 4)) == BCRoot(2, TYPE_C, DIFF, 1, 2)
 
 
 def test_project_rejects_invalid_roots():
     with pytest.raises(ValueError, match="invalid"):
-        project_root_B(2, (3, 3))
+        project_root(TYPE_B, 2, (3, 3))
     with pytest.raises(ValueError, match="invalid"):
-        project_root_C(2, (1, 5))
+        project_root(TYPE_C, 2, (1, 5))
+    with pytest.raises(ValueError, match="family must be"):
+        project_root("A", 2, (1, 2))
 
 
 def test_fiber_sizes_and_bookkeeping():
@@ -291,9 +292,9 @@ def test_bc_inversion_set_matches_direct_action(family, n):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_bc_inversion_set_matches_the_projection(family, n):
     # the reference route: project every ambient inversion of the embedding
-    project = {TYPE_B: project_root_B, TYPE_C: project_root_C}[family]
     for sigma in all_signed_permutations(n):
-        projected = frozenset(project(n, root) for root in embedded_inversions(sigma, family))
+        inversions = embedded_inversions(sigma, family)
+        projected = frozenset(project_root(family, n, root) for root in inversions)
         assert bc_inversion_set(sigma, family) == projected, sigma
 
 
@@ -313,7 +314,7 @@ def test_bc_routes_project_no_root_and_brute_counts_build_none(monkeypatch, fami
         tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, 61), 60))
     )
     projections, built = [], []
-    real_project, real_post_init = bcgroups._project_root, BCRoot.__post_init__
+    real_project, real_post_init = bcgroups.project_root, BCRoot.__post_init__
 
     def counting_project(*args):
         projections.append(args)
@@ -323,7 +324,7 @@ def test_bc_routes_project_no_root_and_brute_counts_build_none(monkeypatch, fami
         built.append(self)
         real_post_init(self)
 
-    monkeypatch.setattr(bcgroups, "_project_root", counting_project)
+    monkeypatch.setattr(bcgroups, "project_root", counting_project)
     bc_inversion_set(sigma, family)
     assert projections == []
     monkeypatch.setattr(BCRoot, "__post_init__", counting_post_init)
@@ -678,8 +679,8 @@ def signed_permutations(draw, max_rank=5):
 
 @given(signed_permutations())
 def test_random_round_trip_both_families(sigma):
-    assert from_symmetric_B(embed_B(sigma)) == sigma
-    assert from_symmetric_C(embed_C(sigma)) == sigma
+    assert from_symmetric(TYPE_B, embed_B(sigma)) == sigma
+    assert from_symmetric(TYPE_C, embed_C(sigma)) == sigma
 
 
 @given(signed_permutations(max_rank=4), st.sampled_from((TYPE_B, TYPE_C)))

@@ -20,9 +20,7 @@ from rootdec.decompose import (
     enumerate_decompositions,
     exact_covers,
     inversion_count,
-    is_irreducible,
     is_irreducible_structural,
-    merge,
     verify_decomposition,
 )
 from rootdec.genseries import (
@@ -39,6 +37,7 @@ from rootdec.permcore import (
     compose,
     identity,
     inversion_set,
+    is_inversion_set,
     longest,
     permutation_from_inversion_set,
     simple_roots,
@@ -98,6 +97,45 @@ TRIPLES_BC = (
 
 def perms(n: int):
     return itertools.permutations(range(1, n + 1))
+
+
+# ---------------------------------------------------------------------------
+# root-set oracles: the paper's definitions, checked by brute force
+
+
+def is_irreducible(sigma):
+    """No split of the inversion set into two nonidentity inversion sets.
+
+    It scans every permutation of the degree, so keep it to small degrees.
+    The identity is irreducible: every split of the empty set is trivial.
+    """
+    n = len(sigma)
+    inv = inversion_set(sigma).roots
+    if not inv:
+        return True
+    for alpha in perms(n):
+        part = inversion_set(alpha).roots
+        if not part or part == inv or not part <= inv:
+            continue
+        if is_inversion_set(RootSubset(n, inv - part)):
+            return False
+    return True
+
+
+def merge(n, parts):
+    """The permutation whose inversion set is the union of the parts' sets.
+
+    A union that is no inversion set raises permcore's ValueError, which
+    names a violating triple.
+    """
+    union = set().union(*(inversion_set(part).roots for part in parts))
+    return permutation_from_inversion_set(RootSubset(n, union))
+
+
+def _merged_by_engine(n, parts):
+    """The listing engine's merge of ``parts`` into one block; the identity if none."""
+    (cover,) = decompose._coarsenings(tuple(parts), 0, 1)
+    return cover[0] if cover else identity(n)
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +332,20 @@ def test_verify_degree_one_vacuous():
 
 
 def test_merge_of_two_worked_parts():
-    assert merge(8, [W2, W3]) == (4, 6, 5, 1, 8, 7, 3, 2)
+    merged = (4, 6, 5, 1, 8, 7, 3, 2)
+    assert merge(8, [W2, W3]) == _merged_by_engine(8, [W2, W3]) == merged
+    assert (W1, merged) in decompose._coarsenings((W1, W2, W3), 2, 2)
 
 
 def test_merge_edge_cases():
-    assert merge(3, []) == (1, 2, 3)
-    assert merge(8, [W1, W2, W3]) == longest(8)
-    assert merge(8, [W2]) == W2
+    for n, parts, merged in [
+        (3, [], (1, 2, 3)),
+        (8, [W1, W2, W3], longest(8)),
+        (8, [W2], W2),
+    ]:
+        assert merge(n, parts) == _merged_by_engine(n, parts) == merged
+    assert list(decompose._coarsenings((W1, W2, W3), 3, 3)) == [(W1, W2, W3)]
+    assert list(decompose._coarsenings((), 0, None)) == [()]
 
 
 def test_merge_rejects_non_inversion_set_union():
@@ -309,29 +354,24 @@ def test_merge_rejects_non_inversion_set_union():
         merge(3, [(2, 1, 3), (1, 3, 2)])
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+# set partitions of k parts, k = 0..5: a degree-6 decomposition has at most 5
+BELL = (1, 1, 2, 5, 15, 52)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 def test_merge_is_the_union_of_the_parts(n):
-    # every subset of the parts of a decomposition merges to its union
-    for d in enumerate_decompositions(n):
-        for size in range(len(d) + 1):
-            for subset in itertools.combinations(d.parts, size):
-                union = set().union(*(inversion_set(p).roots for p in subset))
-                assert merge(n, subset) == permutation_from_inversion_set(RootSubset(n, union))
-    # other disjoint parts may not: then merge raises permcore's message
-    rejected = 0
-    for first, second in itertools.combinations(_nonidentity(n), 2):
-        union = inversion_set(first).roots | inversion_set(second).roots
-        if len(union) < inversion_count(first) + inversion_count(second):
-            continue
-        try:
-            expected = permutation_from_inversion_set(RootSubset(n, union))
-        except ValueError as error:
-            with pytest.raises(ValueError, match=re.escape(str(error))):
-                merge(n, [first, second])
-            rejected += 1
-        else:
-            assert merge(n, [first, second]) == expected
-    assert (rejected > 0) == (n >= 3)
+    # the listing engine merges each block by the image formula; every set
+    # partition of a built decomposition's parts must come once and give a
+    # decomposition whose parts are the oracle unions of their blocks
+    for built in decompose._built_decompositions(n, n):
+        covers = list(decompose._coarsenings(built, 0, None))
+        assert len(set(covers)) == len(covers) == BELL[len(built)]
+        for cover in covers:
+            assert verify_decomposition(n, cover)
+            for merged in cover:
+                inside = inversion_set(merged).roots
+                block = [part for part in built if inversion_set(part).roots <= inside]
+                assert merge(n, block) == merged
 
 
 # ---------------------------------------------------------------------------
@@ -817,8 +857,9 @@ def test_merge_of_random_subset_adds_inversion_counts(case, rng):
     n, sigma = case
     parts = [sigma, compose(longest(n), sigma)]
     chosen = [p for p in parts if rng.random() < 0.5]
-    merged = merge(n, chosen)
-    assert len(inversion_set(merged)) == sum(len(inversion_set(p)) for p in chosen)
+    merged = _merged_by_engine(n, chosen)
+    assert inversion_count(merged) == sum(map(inversion_count, chosen))
+    assert merged == merge(n, chosen)
 
 
 @given(st.integers(min_value=1, max_value=6))

@@ -348,7 +348,14 @@ def test_verify_builds_no_inversion_sets(monkeypatch):
         return real_inversion_set(sigma)
 
     monkeypatch.setattr(permcore, "inversion_set", counting_inversion_set)
-    monkeypatch.setattr(decompose, "inversion_set", counting_inversion_set)
+    # decompose binds no root-set code that could build one
+    for name in [
+        "RootSubset",
+        "inversion_set",
+        "is_inversion_set",
+        "permutation_from_inversion_set",
+    ]:
+        assert not hasattr(decompose, name), name
     sigma = tuple(random.Random(200).sample(range(1, 201), 200))
     triple = (*complement_decomposition(sigma), identity(200))
     assert verify_decomposition(200, triple).ok
