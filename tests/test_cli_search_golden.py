@@ -2,22 +2,30 @@
 
 ``golden/search_digests.json`` holds the exit code and the SHA-256 digests
 of stdout and stderr for the four enumerations of the benchmark's ``search``
-workload.  They take 2-3 s together, so they sit apart from
-``test_cli_golden.py``.  ``golden/listing_digests.json`` does the same for
-the plain listings at n = 7 (unrestricted, ``--parts 2..6`` and padded
-``--parts 5|6``) and at n = 8 with ``--parts 1|2|3``, which take seconds
-more.  A change meant to alter these outputs records the files again and
-shows the new digests in its diff::
+workload and for its ``--seed-check`` call, whose timing figures are masked
+first (``1.09s`` reads ``#s``, as in ``perfbench/workloads.normalize``).
+They take 3-5 s together, so they sit apart from ``test_cli_golden.py``.
+``golden/listing_digests.json`` does the same for the plain listings at
+n = 7 (unrestricted, ``--parts 2..6`` and padded ``--parts 5|6``) and at
+n = 8 with ``--parts 1|2|3``, which take seconds more.  A change meant to
+alter these outputs records the files again and shows the new digests in
+its diff::
 
     PYTHONPATH=src python tests/test_cli_search_golden.py
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
+import re
 from pathlib import Path
 
 from test_cli_golden import _call
+
+from rootdec.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -26,6 +34,7 @@ SEARCH_CALLS = [
     ["enumerate", "--n", "7", "--parts", "4", "--allow-identity"],
     ["enumerate", "--n", "7", "--irreducible", "--format", "json"],
     ["enumerate", "--n", "8", "--maximal"],
+    ["--seed-check"],
 ]
 
 LISTING_CALLS = [
@@ -37,11 +46,27 @@ LISTING_CALLS = [
 
 FILES = {"search_digests.json": SEARCH_CALLS, "listing_digests.json": LISTING_CALLS}
 
+_SECONDS = re.compile(r"\d+\.\d+s")
+
+
+def _record(argv: list[str]) -> dict[str, object]:
+    """``_call``'s record, with ``--seed-check``'s timing figures masked before digesting."""
+    if "--seed-check" not in argv:
+        return _call(argv)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    digests = [
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for text in (_SECONDS.sub("#s", out.getvalue()), err.getvalue())
+    ]
+    return {"argv": argv, "code": code, "stdout": digests[0], "stderr": digests[1]}
+
 
 def _mismatched(name: str) -> list[list[str]]:
     expected = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
     assert [entry["argv"] for entry in expected] == FILES[name]
-    return [entry["argv"] for entry in expected if _call(entry["argv"]) != entry]
+    return [entry["argv"] for entry in expected if _record(entry["argv"]) != entry]
 
 
 def test_search_outputs_match_the_recorded_digests():
@@ -54,6 +79,6 @@ def test_listing_outputs_match_the_recorded_digests():
 
 if __name__ == "__main__":
     for name, calls in FILES.items():
-        lines = ",\n".join(json.dumps(_call(argv)) for argv in calls)
+        lines = ",\n".join(json.dumps(_record(argv)) for argv in calls)
         (GOLDEN / name).write_text(f"[\n{lines}\n]\n", encoding="utf-8")
         print(f"wrote {GOLDEN / name}")
