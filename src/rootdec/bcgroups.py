@@ -23,11 +23,12 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterable, Iterator
 
-from .decompose import VerifyResult, _cover_fault, _inversion_rows, inversion_count
+from .decompose import VerifyResult, _cover_fault, inversion_count
 from .inflation import inflate, is_simple
 from .permcore import (
     Perm,
     Root,
+    _inversion_rows,
     all_roots,
     check_permutation,
     compose,

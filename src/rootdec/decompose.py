@@ -41,6 +41,8 @@ from .inflation import inflate, is_simple
 from .permcore import (
     Perm,
     Root,
+    _inversion_rows,
+    _mask_of,
     check_permutation,
     format_permutation,
     identity,
@@ -177,29 +179,15 @@ class CountTable:
 # verification
 
 
-def _inversion_rows(sigma: Perm) -> list[int]:
-    """Bit ``j`` of ``rows[i]`` is set when ``sigma`` inverts positions ``i < j``.
-
-    Positions are 0-based here.  One sweep over the positions in increasing
-    value order: the positions already passed hold the smaller values.
-    """
-    position = [0] * len(sigma)
-    for i, value in enumerate(sigma):
-        position[value - 1] = i
-    rows = [0] * len(sigma)
-    smaller = 0
-    for i in position:
-        rows[i] = smaller >> (i + 1) << (i + 1)
-        smaller |= 1 << i
-    return rows
-
-
 # This cache and the next hold every part of the largest listable degree.
 @functools.lru_cache(maxsize=math.factorial(DEFAULT_ENUMERATION_BOUND))
 def _inversion_mask(sigma: Perm) -> int:
-    """Bit ``i * n + j`` is set when ``sigma`` inverts 0-based positions ``i < j``."""
-    n = len(sigma)
-    return sum(row << i * n for i, row in enumerate(_inversion_rows(sigma)))
+    """Bit ``i * n + j`` is set when ``sigma`` inverts 0-based positions ``i < j``.
+
+    That is :mod:`permcore`'s mask layout: the mask of ``inversion_set(sigma)``,
+    built from the rows without a root set.
+    """
+    return _mask_of(_inversion_rows(sigma))
 
 
 @functools.lru_cache(maxsize=math.factorial(DEFAULT_ENUMERATION_BOUND))

@@ -29,9 +29,10 @@ from typing import Iterable, Iterator, Sequence
 from .permcore import (
     Perm,
     RootSubset,
+    _inversion_rows,
+    _mask_of,
     check_permutation,
     identity,
-    inversion_set,
     longest,
     parse_permutation,
     restrict,
@@ -95,27 +96,26 @@ def inflation_inversion_set(
 ) -> RootSubset:
     """The inversion set of ``inflate(skeleton, parts)``, assembled directly.
 
-    Built from the pieces rather than from the inflated permutation: one
-    all-pairs rectangle for every inversion of the skeleton, plus each part's
-    own inversions shifted into place.  Kept independent of :func:`inflate`
-    so the two can check each other.
+    Built from the pieces rather than from the inflated permutation, one
+    inversion row per position: the row of a position in slot ``a`` is the
+    union of the whole slots ``b`` that the skeleton's row ``a`` inverts,
+    plus the position's row in ``parts[a]``, shifted into place.  Kept
+    independent of :func:`inflate` so the two can check each other.
 
     >>> sorted(inflation_inversion_set((2, 1), [(1,), (1, 2)]))
     [(1, 2), (1, 3)]
     """
     skeleton, parts = _checked_inflation(skeleton, parts)
-    sizes = [len(part) for part in parts]
-    starts = [1 + sum(sizes[:a]) for a in range(len(parts))]
-    total = sum(sizes)
-    pairs: set[tuple[int, int]] = set()
-    for a, b in inversion_set(skeleton):
-        for i in range(starts[a - 1], starts[a - 1] + sizes[a - 1]):
-            for j in range(starts[b - 1], starts[b - 1] + sizes[b - 1]):
-                pairs.add((i, j))
-    for a, part in enumerate(parts):
-        for x, y in inversion_set(part):
-            pairs.add((starts[a] + x - 1, starts[a] + y - 1))
-    return RootSubset(total, frozenset(pairs))
+    starts = list(itertools.accumulate(map(len, parts), initial=0))
+    rows = []
+    for start, part, row in zip(starts, parts, _inversion_rows(skeleton)):
+        span = 0
+        while row:  # slot b holds the positions starts[b] .. starts[b + 1] - 1
+            b = (row & -row).bit_length() - 1
+            span |= (1 << starts[b + 1]) - (1 << starts[b])
+            row &= row - 1
+        rows += [span | part_row << start for part_row in _inversion_rows(part)]
+    return RootSubset._from_mask(starts[-1], _mask_of(rows))
 
 
 def _block_ends(sigma: Perm, start: int) -> Iterator[int]:

@@ -10,11 +10,13 @@ Conventions used throughout the package:
   ``1 <= i < j <= n``, thought of as ``e_i - e_j`` in coordinates.  The full
   positive system ``all_roots(n)`` has ``n*(n-1)//2`` elements; the simple
   roots are the pairs ``(i, i+1)``.
-* :class:`RootSubset` couples a degree with a set of roots.  A subset is the
-  inversion set of some permutation exactly when it is *closed* (membership
-  of ``(i,j)`` and ``(j,k)`` forces ``(i,k)``) and *co-closed* (its
-  complement is closed); those subsets are in bijection with permutations,
-  so there are exactly ``n!`` of them.
+* :class:`RootSubset` couples a degree with a set of roots, held as a
+  bitmask with bit ``(i-1)*n + (j-1)`` for the root ``(i,j)``: the ``n``
+  rows of :func:`_inversion_rows`, the package's one inversion kernel, laid
+  end to end.  A subset is the inversion set of some permutation exactly
+  when it is *closed* (membership of ``(i,j)`` and ``(j,k)`` forces
+  ``(i,k)``) and *co-closed* (its complement is closed); those subsets are
+  in bijection with permutations, so there are exactly ``n!`` of them.
 
 All values are immutable and every function is pure, so everything here is
 safe to share freely across threads.
@@ -22,6 +24,7 @@ safe to share freely across threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -63,39 +66,106 @@ def simple_roots(n: int) -> tuple[Root, ...]:
     return tuple((i, i + 1) for i in range(1, n))
 
 
-@dataclass(frozen=True)
+def _inversion_rows(sigma: Perm) -> list[int]:
+    """Bit ``j`` of ``rows[i]`` is set when ``sigma`` inverts positions ``i < j``.
+
+    Positions are 0-based here.  One sweep over the positions in increasing
+    value order: the positions already passed hold the smaller values.  The
+    order comes from comparing entries, never from indexing by them, so an
+    entry such as ``2.0`` gives the rows of ``2``.
+    """
+    rows = [0] * len(sigma)
+    smaller = 0
+    for i in sorted(range(len(sigma)), key=sigma.__getitem__):
+        rows[i] = smaller >> (i + 1) << (i + 1)
+        smaller |= 1 << i
+    return rows
+
+
+def _mask_of(rows: list[int]) -> int:
+    """The rows of degree ``n = len(rows)`` as one mask: bit ``i * n + j`` for row ``i``, bit ``j``.
+
+    That is bit ``(i - 1) * n + (j - 1)`` for the root ``(i, j)``, so the
+    bits run in lexicographic order of the roots.
+    """
+    n = len(rows)
+    mask = 0
+    for row in reversed(rows):
+        mask = mask << n | row
+    return mask
+
+
+@functools.lru_cache(maxsize=None)
+def _positive(n: int) -> int:
+    """The mask of every positive root of degree ``n``."""
+    return _mask_of([(1 << n) - (2 << i) for i in range(n)])
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class RootSubset:
     """A set of positive roots of one fixed degree.
 
-    ``roots`` may be passed as any iterable of pairs; it is stored as a
-    frozenset.  Every pair must satisfy ``1 <= i < j <= n``.
+    ``roots`` may be passed as any iterable of pairs; every pair must
+    satisfy ``1 <= i < j <= n``.  The set is held as ``mask``, with bit
+    ``(i - 1) * n + (j - 1)`` for the root ``(i, j)``; equality and hashing
+    use ``(n, mask)``, and ``roots`` is the frozenset of pairs, built on
+    first access.
     """
 
     n: int
-    roots: frozenset[Root]
+    mask: int
 
-    def __post_init__(self) -> None:
-        _check_degree(self.n)
-        object.__setattr__(self, "roots", frozenset(self.roots))
-        for i, j in self.roots:
-            if not (1 <= i < j <= self.n):
-                raise ValueError(
-                    f"({i},{j}) is not a positive root for degree {self.n}"
-                )
+    def __init__(self, n: int, roots: Iterable[Root]) -> None:
+        _check_degree(n)
+        mask = 0
+        for i, j in roots:
+            if not (1 <= i < j <= n):
+                raise ValueError(f"({i},{j}) is not a positive root for degree {n}")
+            mask |= 1 << (i - 1) * n + (j - 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
+
+    @classmethod
+    def _from_mask(cls, n: int, mask: int) -> RootSubset:
+        """The subset whose mask is ``mask``; every bit must be a positive root."""
+        if mask & ~_positive(n):
+            raise ValueError(f"the mask holds bits that are no positive root of degree {n}")
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "n", n)
+        object.__setattr__(phi, "mask", mask)
+        return phi
+
+    def _rows(self) -> list[int]:
+        """The inversion rows of the mask: bit ``j`` of row ``i`` for the root ``(i + 1, j + 1)``."""
+        n, mask, full = self.n, self.mask, (1 << self.n) - 1
+        return [mask >> i * n & full for i in range(n)]
+
+    @functools.cached_property
+    def roots(self) -> frozenset[Root]:
+        """The roots as a frozenset of pairs."""
+        return frozenset(self)
 
     def __contains__(self, root: Root) -> bool:
-        return root in self.roots
+        i, j = root
+        return 1 <= i < j <= self.n and self.mask >> (i - 1) * self.n + (j - 1) & 1 == 1
 
     def __iter__(self) -> Iterator[Root]:
-        """Iterate in lexicographic order (stable for display and tests)."""
-        return iter(sorted(self.roots))
+        """Iterate in lexicographic order (stable for display and tests): bit order."""
+        for i, row in enumerate(self._rows(), start=1):
+            while row:
+                low = row & -row
+                yield i, low.bit_length()
+                row ^= low
 
     def __len__(self) -> int:
-        return len(self.roots)
+        return self.mask.bit_count()
+
+    def __repr__(self) -> str:
+        return f"RootSubset({self.n}, {list(self)})"
 
     def complement(self) -> RootSubset:
         """The remaining positive roots of the same degree."""
-        return RootSubset(self.n, frozenset(all_roots(self.n)) - self.roots)
+        return RootSubset._from_mask(self.n, self.mask ^ _positive(self.n))
 
 
 def inversion_set(sigma: Iterable[int]) -> RootSubset:
@@ -112,29 +182,28 @@ def inversion_set(sigma: Iterable[int]) -> RootSubset:
     0
     """
     sigma = check_permutation(sigma)
-    n = len(sigma)
-    pairs = frozenset(
-        (i, j)
-        for i in range(1, n)
-        for j in range(i + 1, n + 1)
-        if sigma[i - 1] > sigma[j - 1]
-    )
-    return RootSubset(n, pairs)
+    return RootSubset._from_mask(len(sigma), _mask_of(_inversion_rows(sigma)))
 
 
 def closure_violation(phi: RootSubset) -> tuple[int, int, int] | None:
     """A triple ``i < j < k`` witnessing a closure failure, or ``None``.
 
     Closure requires: whenever ``(i,j)`` and ``(j,k)`` are members, so is
-    ``(i,k)``.  The scan is a direct pass over all triples; degrees stay
-    small enough (n <= 20 in practice) that nothing cleverer is warranted.
+    ``(i,k)``.  The witness is the lexicographically first failing triple,
+    found with O(n²) operations on the rows of ``phi``'s mask: ``i`` runs in
+    order, then each member ``(i,j)`` in order, and the lowest bit of row
+    ``j`` minus row ``i`` is the least such ``k``.
     """
-    roots = phi.roots
-    for i in range(1, phi.n - 1):
-        for j in range(i + 1, phi.n):
-            for k in range(j + 1, phi.n + 1):
-                if (i, j) in roots and (j, k) in roots and (i, k) not in roots:
-                    return (i, j, k)
+    rows = phi._rows()
+    for i, row in enumerate(rows):
+        members = row
+        while members:
+            low = members & -members
+            j = low.bit_length() - 1
+            bad = rows[j] & ~row
+            if bad:
+                return i + 1, j + 1, (bad & -bad).bit_length()
+            members ^= low
     return None
 
 
@@ -192,10 +261,10 @@ def permutation_from_inversion_set(phi: RootSubset) -> Perm:
     in phi}``: one plus the later positions that ``i`` beats plus the earlier
     positions that fail to beat ``i``.  Inverse of :func:`inversion_set`.
 
-    The images are rebuilt first, in O(n²); ``phi`` is accepted when they
-    form a permutation.  Otherwise ``phi`` is not closed or not co-closed,
-    and ``ValueError`` names a violating triple from the O(n³) scans, which
-    run only on this failure path.
+    The images are rebuilt first, in O(n²) operations on the rows of the
+    mask; ``phi`` is accepted when they form a permutation.  Otherwise
+    ``phi`` is not closed or not co-closed, and ``ValueError`` names the
+    first violating triple, which is looked for only on this failure path.
 
     >>> permutation_from_inversion_set(RootSubset(3, {(1, 2)}))
     (2, 1, 3)
@@ -207,18 +276,18 @@ def permutation_from_inversion_set(phi: RootSubset) -> Perm:
     ValueError: not an inversion set: (1,3) is a member but neither (1,2) nor (2,3) is
     """
     n = phi.n
-    roots = phi.roots
-    images = []
-    for i in range(1, n + 1):
-        later_beaten = sum(1 for j in range(i + 1, n + 1) if (i, j) in roots)
-        earlier_smaller = sum(1 for j in range(1, i) if (j, i) not in roots)
-        images.append(1 + later_beaten + earlier_smaller)
+    rows = phi._rows()
+    # positions 0-based: rows[i] holds the later positions that i beats, and
+    # of the i earlier positions all but those whose rows hold bit i fail to
+    sigma = tuple(
+        1 + row.bit_count() + i - sum(earlier >> i & 1 for earlier in rows[:i])
+        for i, row in enumerate(rows)
+    )
     # Read phi as a tournament on the positions: i beats j when i < j and
     # (i,j) is in phi, or when j < i and (j,i) is not.  The images are 1 +
     # the out-degrees (scores).  A tournament is transitive exactly when its
     # scores are 0..n-1, and then i beats j iff i scores higher, i.e. iff
     # sigma(i) > sigma(j): the inversion set of sigma is phi itself.
-    sigma = tuple(images)
     if sorted(sigma) == list(range(1, n + 1)):
         return sigma
     bad = closure_violation(phi)

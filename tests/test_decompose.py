@@ -31,6 +31,7 @@ from rootdec.genseries import (
     series_SB,
     simple_pairs_A,
 )
+from rootdec.inflation import inflation_inversion_set
 from rootdec.permcore import (
     RootSubset,
     all_roots,
@@ -219,6 +220,27 @@ def test_listing_builds_rows_once_per_distinct_part(count_calls):
     listing = list(enumerate_decompositions(7, 4, allow_identity=True))
     assert len(listing) == 17174
     assert len(rows) == len({part for d in listing for part in d.parts})
+
+
+@pytest.mark.parametrize("entries", [(2.0, 1.0), (2, True)])
+def test_entries_equal_to_ints_answer_as_the_ints_whatever_the_mask_cache_holds(entries):
+    # check_permutation accepts such entries; each route must then answer as
+    # for (2, 1), with a cold mask cache and with (2, 1) already in it
+    ints = (2, 1)
+    for warm in (False, True):
+        decompose._inversion_mask.cache_clear()
+        if warm:
+            Decomposition(2, [ints])
+        assert Decomposition(2, [entries]) == Decomposition(2, [ints])
+        assert str(Decomposition(2, [entries])) == "2 1"
+        for n, tail in ((2, ()), (3, (3,))):
+            with_tail = (*entries, *tail)
+            assert verify_decomposition(n, [with_tail]) == verify_decomposition(n, [(*ints, *tail)])
+        with pytest.raises(ValueError, match=r"^root \(1, 3\) not covered by any part$"):
+            Decomposition(3, [(*entries, 3)])
+        assert inversion_set(entries) == inversion_set(ints)
+        assert inflation_inversion_set(entries, [(1,), (1,)]) == inversion_set(ints)
+        assert inflation_inversion_set((2, 1), [entries, (1,)]) == inversion_set((3, 2, 1))
 
 
 def test_count_table_lookup_and_bounds():

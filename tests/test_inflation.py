@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootdec import inflation
+from test_permcore import oracle_inversion_pairs
+
+from rootdec import inflation, permcore
 from rootdec.inflation import (
     IDENTITY,
     REVERSAL,
@@ -55,6 +57,43 @@ def test_inflation_inversion_set_examples():
     assert inflation_inversion_set(identity(2), [identity(2), identity(2)]).roots == frozenset()
     data = ((2, 4, 1, 3), ((3, 1, 2), (1,), (1, 2), (1, 2)))
     assert inflation_inversion_set(*data).roots == inversion_set((5, 3, 4, 8, 1, 2, 6, 7)).roots
+
+
+def oracle_inflation_pairs(skeleton, parts) -> frozenset:
+    """The set-based assembly: a rectangle per skeleton inversion, each part's pairs shifted."""
+    starts = list(itertools.accumulate(map(len, parts), initial=1))
+    pairs = set()
+    for a, b in oracle_inversion_pairs(skeleton):
+        slot_a, slot_b = range(starts[a - 1], starts[a]), range(starts[b - 1], starts[b])
+        pairs.update(itertools.product(slot_a, slot_b))
+    for start, part in zip(starts, parts):
+        pairs.update((start + x - 1, start + y - 1) for x, y in oracle_inversion_pairs(part))
+    return frozenset(pairs)
+
+
+def test_inflation_inversion_set_matches_the_pair_oracle():
+    rng = random.Random(27)
+    for _ in range(500):
+        m = rng.randint(1, 8)
+        skeleton = tuple(rng.sample(range(1, m + 1), m))
+        sizes = [rng.randint(1, 6) for _ in range(m)]
+        parts = [
+            identity(k) if rng.random() < 0.3 else tuple(rng.sample(range(1, k + 1), k))
+            for k in sizes
+        ]
+        phi = inflation_inversion_set(skeleton, parts)
+        assert phi.n == sum(sizes)
+        assert phi.roots == oracle_inflation_pairs(skeleton, parts)
+
+
+def test_inflation_inversion_set_checks_each_piece_once_and_builds_no_inversion_set(count_calls):
+    skeleton, parts = (2, 4, 1, 3), [(3, 1, 2), (1,), (1, 2), (2, 1)]
+    checks = count_calls(inflation, "check_permutation")
+    inner_checks = count_calls(permcore, "check_permutation")
+    inversion_sets = count_calls(permcore, "inversion_set")
+    inflation_inversion_set(skeleton, parts)
+    assert len(checks) + len(inner_checks) == len(parts) + 1
+    assert inversion_sets == [] and not hasattr(inflation, "inversion_set")
 
 
 def test_blocks_examples():

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootdec import permcore
 from rootdec.permcore import (
     RootSubset,
     all_roots,
+    closure_violation,
     coclosure_violation,
     complement_decomposition,
     compose,
@@ -34,6 +36,55 @@ from rootdec.permcore import (
 
 def perms(n: int):
     return itertools.permutations(range(1, n + 1))
+
+
+# ---------------------------------------------------------------------------
+# oracles: a pair-set comprehension and O(n^3) triple scans, sharing no code
+# with the row kernel
+
+
+def oracle_inversion_pairs(sigma) -> frozenset:
+    """The pairs ``(i, j)``, ``i < j``, with ``sigma(i) > sigma(j)``, by direct comparison."""
+    n = len(sigma)
+    return frozenset(
+        (i, j) for i in range(1, n) for j in range(i + 1, n + 1) if sigma[i - 1] > sigma[j - 1]
+    )
+
+
+def oracle_closure_violation(n: int, roots) -> tuple[int, int, int] | None:
+    """The first triple ``i < j < k`` with ``(i,j)``, ``(j,k)`` in ``roots`` and ``(i,k)`` not."""
+    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+        if (i, j) in roots and (j, k) in roots and (i, k) not in roots:
+            return (i, j, k)
+    return None
+
+
+def oracle_coclosure_violation(n: int, roots) -> tuple[int, int, int] | None:
+    """The closure scan on the complement."""
+    return oracle_closure_violation(n, frozenset(all_roots(n)) - roots)
+
+
+def oracle_recognition_error(n: int, roots) -> str | None:
+    """The message that rejects ``roots`` as an inversion set, or None when it is one."""
+    bad = oracle_closure_violation(n, roots)
+    if bad is not None:
+        i, j, k = bad
+        return f"not an inversion set: ({i},{j}) and ({j},{k}) are members but ({i},{k}) is not"
+    bad = oracle_coclosure_violation(n, roots)
+    if bad is not None:
+        i, j, k = bad
+        return f"not an inversion set: ({i},{k}) is a member but neither ({i},{j}) nor ({j},{k}) is"
+    return None
+
+
+def seeded_permutations():
+    """Every permutation of degree <= 7, then seeded ones of degree 8..60."""
+    for n in range(1, 8):
+        yield from perms(n)
+    rng = random.Random(60)
+    for n in range(8, 61):
+        for _ in range(3):
+            yield tuple(rng.sample(range(1, n + 1), n))
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +147,58 @@ def candidate_subsets(n: int):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_from_inversion_set_accepts_exactly_the_inversion_sets(n):
-    # the O(n^2) round trip against the closure/co-closure triple scans
+    # the O(n^2) round trip, its witnesses and its messages against the
+    # triple scans of the oracle
     verdicts = set()
     for phi in candidate_subsets(n):
+        roots = phi.roots
+        assert closure_violation(phi) == oracle_closure_violation(n, roots)
+        assert coclosure_violation(phi) == oracle_coclosure_violation(n, roots)
+        message = oracle_recognition_error(n, roots)
         accepted = is_inversion_set(phi)
+        assert accepted == (message is None)
         verdicts.add(accepted)
         if accepted:
             assert inversion_set(permutation_from_inversion_set(phi)) == phi
         else:
-            with pytest.raises(ValueError, match="not an inversion set"):
+            with pytest.raises(ValueError) as caught:
                 permutation_from_inversion_set(phi)
+            assert str(caught.value) == message
     assert verdicts == ({True, False} if n >= 3 else {True})
+
+
+def test_inversion_set_matches_the_pair_oracle():
+    for sigma in seeded_permutations():
+        phi = inversion_set(sigma)
+        pairs = oracle_inversion_pairs(sigma)
+        assert phi.n == len(sigma)
+        assert phi.roots == pairs
+        assert list(phi) == sorted(pairs)
+        assert len(phi) == len(pairs)
+        assert phi == RootSubset(len(sigma), pairs)
+
+
+def test_inversion_set_calls_the_row_kernel_once(count_calls):
+    kernel = count_calls(permcore, "_inversion_rows")
+    inversion_set((3, 1, 4, 2))
+    assert kernel == [((3, 1, 4, 2),)]
+
+
+def test_root_subset_contract():
+    sigma = (3, 1, 4, 2)
+    phi = inversion_set(sigma)
+    built = RootSubset(4, iter([(3, 4), (1, 4), (1, 2)]))
+    assert built == phi and hash(built) == hash(phi)
+    assert len({built, phi}) == 1
+    assert RootSubset(4, []) != RootSubset(5, [])
+    assert list(phi) == sorted(phi) == [(1, 2), (1, 4), (3, 4)]
+    assert (1, 4) in phi and (3, 2) not in phi and (0, 1) not in phi and (4, 5) not in phi
+    assert phi.complement() == inversion_set(compose(longest(4), sigma))
+    assert phi.complement().complement() == phi
+    for name in ("n", "roots"):
+        with pytest.raises(AttributeError):
+            setattr(phi, name, built.roots)
+    assert phi.roots == {(1, 2), (1, 4), (3, 4)} and phi.n == 4
 
 
 def test_group_operations():
@@ -154,10 +246,12 @@ def test_text_formats():
 
 
 def test_root_subset_validation():
-    with pytest.raises(ValueError, match="not a positive root"):
+    with pytest.raises(ValueError, match=r"^\(1,4\) is not a positive root for degree 3$"):
         RootSubset(3, {(1, 4)})
-    with pytest.raises(ValueError, match="not a positive root"):
+    with pytest.raises(ValueError, match=r"^\(2,2\) is not a positive root for degree 3$"):
         RootSubset(3, {(2, 2)})
+    with pytest.raises(ValueError, match="^degree must be at least 1, got 0$"):
+        RootSubset(0, set())
 
 
 # ---------------------------------------------------------------------------
