@@ -7,9 +7,10 @@ first (``1.09s`` reads ``#s``, as in ``perfbench/workloads.normalize``).
 They take 3-5 s together, so they sit apart from ``test_cli_golden.py``.
 ``golden/listing_digests.json`` does the same for the plain listings at
 n = 7 (unrestricted, ``--parts 2..6`` and padded ``--parts 5|6``) and at
-n = 8 with ``--parts 1|2|3``, which take seconds more.  A change meant to
-alter these outputs records the files again and shows the new digests in
-its diff::
+n = 8 with ``--parts 1|2|3``, which take seconds more, and for the
+degree-8 irreducible listings with ``--parts 1..7`` and padded
+``--parts 3``.  A change meant to alter these outputs records the files
+again and shows the new digests in its diff::
 
     PYTHONPATH=src python tests/test_cli_search_golden.py
 """
@@ -42,6 +43,8 @@ LISTING_CALLS = [
     *(["enumerate", "--n", "7", "--parts", str(r)] for r in range(2, 7)),
     *(["enumerate", "--n", "7", "--parts", r, "--allow-identity"] for r in ("5", "6")),
     *(["enumerate", "--n", "8", "--parts", str(r)] for r in range(1, 4)),
+    *(["enumerate", "--n", "8", "--irreducible", "--parts", str(r)] for r in range(1, 8)),
+    ["enumerate", "--n", "8", "--irreducible", "--parts", "3", "--allow-identity"],
 ]
 
 FILES = {"search_digests.json": SEARCH_CALLS, "listing_digests.json": LISTING_CALLS}
