@@ -46,7 +46,7 @@ import math
 import random
 import sys
 import time
-from typing import Callable, TextIO
+from typing import Callable, Iterable, TextIO
 
 from .bcgroups import (
     TYPE_B,
@@ -77,6 +77,7 @@ from .inflation import (
 )
 from .lrcone import build_equations, rays
 from .permcore import (
+    Root,
     RootSubset,
     all_roots,
     inversion_set,
@@ -282,8 +283,8 @@ def criterion_3() -> Check:
 
 def _searched_counts(
     degree: int,
-    parts: list[tuple[object, frozenset]],
-    irreducible: list[tuple[object, frozenset]],
+    parts: list[tuple[object, Iterable[Root]]],
+    irreducible: list[tuple[object, Iterable[Root]]],
     maximal: int,
 ) -> tuple[int, int, int]:
     """Exhaustive (irreducible, maximal, triples) counts by exact-cover search.
@@ -324,7 +325,7 @@ def criterion_4() -> Check:
     table_maximal = count_structural("A_MAXIMAL", 7)
     for n in range(1, 8):
         perms = itertools.permutations(range(1, n + 1))
-        parts = [(p, roots) for p in perms if (roots := inversion_set(p).roots)]
+        parts = [(p, roots) for p in perms if (roots := inversion_set(p))]
         candidates = [(p, roots) for p, roots in parts if is_irreducible_structural(p)]
         irreducible, maximal, triples = _searched_counts(n, parts, candidates, n - 1)
         if triples != table_triples[n]:

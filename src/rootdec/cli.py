@@ -127,7 +127,7 @@ def load_config_file(path: str) -> dict[str, int]:
                 f"{path}:{lineno}: unknown setting {key!r}; "
                 f"known settings: {', '.join(CONFIG_KEYS)}"
             )
-        if not value.isdigit() or int(value) < 1:
+        if not value.isdecimal() or int(value) < 1:
             raise ValueError(
                 f"{path}:{lineno}: {key} must be a positive integer, got {value!r}"
             )

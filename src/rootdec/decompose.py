@@ -35,7 +35,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Hashable, Iterable, Iterator, TypeVar
+from typing import Hashable, Iterable, Iterator, TypeVar
 
 from .inflation import inflate, is_simple
 from .permcore import (
@@ -108,8 +108,9 @@ class Decomposition:
     Every bit of a part's inversion mask is a positive root, so parts of
     degree n partition the n(n - 1)/2 roots exactly when their masks hold
     that many bits together (no overlap, given the next) and their union
-    does too (no gap).  Masks are cached per part, and only a rejected
-    candidate reaches the row check that names the fault.
+    does too (no gap).  A part is checked once, when its record
+    (:func:`_part`) is made, and only a rejected candidate reaches the row
+    check that names the fault.
     """
 
     n: int
@@ -117,11 +118,12 @@ class Decomposition:
 
     def __post_init__(self) -> None:
         n = self.n
-        parts = tuple(sorted(check_permutation(p) for p in self.parts))
+        checked = [(part, _part(part)[0]) for part in map(tuple, self.parts)]
+        parts = tuple(sorted(part for part, _ in checked))
         object.__setattr__(self, "parts", parts)
         if n >= 1 and all(len(part) == n for part in parts):
             bits = union = 0
-            for mask in map(_inversion_mask, parts):
+            for _, mask in checked:
                 bits += mask.bit_count()
                 union |= mask
             if bits == math.comb(n, 2) == union.bit_count():
@@ -131,7 +133,7 @@ class Decomposition:
             raise ValueError(fault)
 
     def __str__(self) -> str:
-        return " | ".join(map(_part_text, self.parts))
+        return " | ".join(_part(part)[1] for part in self.parts)
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -179,24 +181,17 @@ class CountTable:
 # verification
 
 
-# This cache and the next hold every part of the largest listable degree.
+# One record per part of the largest listable degree.  Keying it by tuple
+# equality is sound only because check_permutation's verdict is the same for
+# equal tuples, (2.0, 1.0) == (2, 1): an entry-type check must run outside it.
 @functools.lru_cache(maxsize=math.factorial(DEFAULT_ENUMERATION_BOUND))
-def _inversion_mask(sigma: Perm) -> int:
-    """Bit ``i * n + j`` is set when ``sigma`` inverts 0-based positions ``i < j``.
+def _part(sigma: Perm) -> tuple[int, str]:
+    """The checked part's inversion mask, in :mod:`permcore`'s layout, and its text.
 
-    That is :mod:`permcore`'s mask layout: the mask of ``inversion_set(sigma)``,
-    built from the rows without a root set.
+    Equal tuples share one record, so the images are printed as ints.
     """
-    return _mask_of(_inversion_rows(sigma))
-
-
-@functools.lru_cache(maxsize=math.factorial(DEFAULT_ENUMERATION_BOUND))
-def _part_text(sigma: Perm) -> str:
-    """One checked part in one-line notation, as :class:`Decomposition` prints it.
-
-    Equal tuples share one entry, so the images are printed as ints.
-    """
-    return " ".join(map(str, map(int, sigma)))
+    sigma = check_permutation(sigma)
+    return _mask_of(_inversion_rows(sigma)), " ".join(map(str, map(int, sigma)))
 
 
 def inversion_count(sigma: Perm) -> int:
@@ -370,16 +365,16 @@ def _skeletons(m: int) -> list[tuple[Perm, ...]]:
 def exact_covers(
     roots: Iterable[Hashable],
     simple: Iterable[Hashable],
-    parts: Iterable[tuple[T, AbstractSet[Hashable]]],
+    parts: Iterable[tuple[T, Iterable[Hashable]]],
     r: int | None = None,
     pad: bool = False,
 ) -> Iterator[tuple[T, ...]]:
     """Yield the item tuples of every cover of ``roots`` by disjoint parts.
 
-    ``parts`` holds (item, root set) pairs; parts with an empty root set
-    never take part in a cover, and parts with equal root sets are distinct
-    items.  ``r`` fixes the number of parts, and with ``pad`` a cover may
-    also have fewer than ``r`` parts (the caller pads it).  Each cover is
+    ``parts`` holds (item, roots) pairs, each iterating distinct roots;
+    parts with no roots never take part in a cover, and parts with equal
+    roots are distinct items.  ``r`` fixes the number of parts, and with
+    ``pad`` a cover may also have fewer than ``r`` parts (the caller pads it).  Each cover is
     yielded exactly once, in search order, its items in the order chosen.
 
     The roots are laid out as bits, ``simple`` ones lowest, and each part
@@ -467,7 +462,7 @@ def exact_covers(
     return descend(0)
 
 
-def _built_decompositions(n: int, skeleton_bound: int) -> list[tuple[Perm, ...]]:
+def _built_decompositions(n: int, fewest: int) -> list[tuple[Perm, ...]]:
     """The part tuples of the irreducible decompositions of degree ``n``.
 
     Built from the paper's description instead of searched for.  At degree
@@ -477,20 +472,22 @@ def _built_decompositions(n: int, skeleton_bound: int) -> list[tuple[Perm, ...]]
     into place; a degree-1 slot adds no part.  Hence a(x) = x + sum_m s_m
     a(x)^m, as :func:`count_structural` counts them.
 
-    Only skeletons of degree m <= ``skeleton_bound`` are inflated, in the
-    slots too.  With the bound 2 these are exactly the maximal
-    decompositions, with n - 1 parts: a simple skeleton of degree m >= 4
-    has two frame parts and its slots add at most n - m, while (2 1) has
-    one and reaches n - 1 only when both of its slots do.
+    (2 1) makes one frame part and a simple skeleton of degree m >= 4 two,
+    so each simple skeleton of degree m in the tree leaves exactly m - 3
+    fewer parts than n - 1.  Only skeletons of degree m <= min(n, n -
+    ``fewest`` + 2) are inflated, in the slots too: larger ones cannot reach
+    ``fewest`` parts, and none above n fits.  What is returned may still
+    have fewer parts than ``fewest``.
 
-    >>> _built_decompositions(3, 3)
+    >>> _built_decompositions(3, 0)
     [((3, 1, 2), (1, 3, 2)), ((2, 3, 1), (2, 1, 3))]
-    >>> len(_built_decompositions(5, 5)), len(_built_decompositions(5, 2))
+    >>> len(_built_decompositions(5, 0)), len(_built_decompositions(5, 4))
     (23, 14)
-    >>> _built_decompositions(1, 1)
+    >>> _built_decompositions(1, 0)
     [()]
     """
-    skeletons = {m: _skeletons(m) for m in range(2, skeleton_bound + 1)}
+    top = min(n, n - fewest + 2)
+    skeletons = {m: _skeletons(m) for m in range(2, top + 1)}
     # found[k]: the part tuples of the decompositions of degree k
     found: dict[int, list[tuple[Perm, ...]]] = {1: [()]}
     for k in range(2, n + 1):
@@ -592,9 +589,10 @@ def enumerate_decompositions(
     part cannot split, since each half would need a simple root of its own,
     so the maximal decompositions are the irreducible ones with n - 1
     parts, all built from (2 1).  Every other decomposition refines to an
-    irreducible one (split a reducible part until none is left), so without
-    ``irreducible_only`` or ``maximal`` the listing is the set of
-    coarsenings of the built ones (:func:`_coarsenings`), duplicates removed.
+    irreducible one with at least as many parts (split a reducible part
+    until none is left), so without ``irreducible_only`` the listing is the
+    set of coarsenings of the built ones (:func:`_coarsenings`), duplicates
+    removed.
 
     >>> [str(d) for d in enumerate_decompositions(3, irreducible_only=True)]
     ['1 3 2 | 3 1 2', '2 1 3 | 2 3 1']
@@ -614,9 +612,9 @@ def enumerate_decompositions(
     if maximal:
         if r is not None and r != n - 1:
             raise ValueError(f"maximal decompositions of degree {n} have {n - 1} parts")
-        r = n - 1
         if allow_identity:
             raise ValueError("maximal parts are nonempty; allow_identity does not apply")
+        irreducible_only, r = True, n - 1
     if allow_identity and r is None:
         raise ValueError("padding with identity parts needs a fixed part count r")
     if (r == 0 and n > 1) or (r is not None and r >= n and not allow_identity):
@@ -626,8 +624,8 @@ def enumerate_decompositions(
         return
 
     least = 0 if r is None or allow_identity else r
-    built = _built_decompositions(n, 2 if maximal else n)
-    if irreducible_only or maximal:
+    built = _built_decompositions(n, least)
+    if irreducible_only:
         covers = (parts for parts in built if r is None or least <= len(parts) <= r)
     else:
         covers = (cover for parts in built for cover in _coarsenings(parts, least, r))

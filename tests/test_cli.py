@@ -83,6 +83,17 @@ def test_load_config_file_rejects_bad_input(tmp_path):
         load_config_file(str(tmp_path / "missing.conf"))
 
 
+def test_config_values_are_the_digits_int_reads(capsys, tmp_path):
+    # '²' is a digit that int() cannot read; '٣' is a decimal that it reads as 3
+    path = tmp_path / "rootdec.conf"
+    path.write_text("brute_force_bound = ²\n", encoding="utf-8")
+    assert run(capsys, "--config", str(path), "enumerate", "--n", "3") == (
+        2, "", f"error: {path}:1: brute_force_bound must be a positive integer, got '²'\n"
+    )
+    path.write_text("series_order = ٣\n", encoding="utf-8")
+    assert load_config_file(str(path)) == {"series_order": 3}
+
+
 def test_config_file_lowers_the_enumeration_bound(capsys, tmp_path):
     path = tmp_path / "rootdec.conf"
     path.write_text("brute_force_bound = 6\n")

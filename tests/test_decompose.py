@@ -213,25 +213,40 @@ def test_decomposition_accepts_exactly_what_verify_accepts(n):
 
 
 def test_listing_builds_rows_once_per_distinct_part(count_calls):
-    for cached in (decompose._inversion_mask, decompose._part_text):
-        assert cached.cache_info().maxsize == math.factorial(decompose.DEFAULT_ENUMERATION_BOUND)
-    decompose._inversion_mask.cache_clear()
+    maxsize = decompose._part.cache_info().maxsize
+    assert maxsize == math.factorial(decompose.DEFAULT_ENUMERATION_BOUND)
+    decompose._part.cache_clear()
     rows = count_calls(decompose, "_inversion_rows")
+    checks = count_calls(decompose, "check_permutation")
     listing = list(enumerate_decompositions(7, 4, allow_identity=True))
     assert len(listing) == 17174
-    assert len(rows) == len({part for d in listing for part in d.parts})
+    # 68,696 parts, 5,040 distinct: each distinct part is checked once
+    distinct = {part for d in listing for part in d.parts}
+    assert len(rows) == len(checks) == len(distinct) == 5040
+
+
+def test_listings_scan_only_the_skeletons_their_part_count_can_use(count_calls):
+    # a simple skeleton of degree m leaves m - 3 fewer parts than n - 1
+    scans = count_calls(decompose, "_skeletons")
+    assert sum(1 for _ in enumerate_decompositions(8, 6, irreducible_only=True)) == 495
+    assert max(m for (m,) in scans) <= 4
+    scans.clear()
+    assert sum(1 for _ in enumerate_decompositions(7, maximal=True)) == 132
+    assert max(m for (m,) in scans) <= 3
 
 
 @pytest.mark.parametrize("entries", [(2.0, 1.0), (2, True)])
 def test_entries_equal_to_ints_answer_as_the_ints_whatever_the_mask_cache_holds(entries):
     # check_permutation accepts such entries; each route must then answer as
-    # for (2, 1), with a cold mask cache and with (2, 1) already in it
+    # for (2, 1), with no part record yet and with the record of (2, 1)
     ints = (2, 1)
     for warm in (False, True):
-        decompose._inversion_mask.cache_clear()
+        decompose._part.cache_clear()
         if warm:
             Decomposition(2, [ints])
         assert Decomposition(2, [entries]) == Decomposition(2, [ints])
+        # the parts are the caller's tuples, not the record's first-seen ones
+        assert Decomposition(2, [entries]).parts[0] is entries
         assert str(Decomposition(2, [entries])) == "2 1"
         for n, tail in ((2, ()), (3, (3,))):
             with_tail = (*entries, *tail)
@@ -385,7 +400,7 @@ def test_merge_is_the_union_of_the_parts(n):
     # the listing engine merges each block by the image formula; every set
     # partition of a built decomposition's parts must come once and give a
     # decomposition whose parts are the oracle unions of their blocks
-    for built in decompose._built_decompositions(n, n):
+    for built in decompose._built_decompositions(n, 0):
         covers = list(decompose._coarsenings(built, 0, None))
         assert len(set(covers)) == len(covers) == BELL[len(built)]
         for cover in covers:
@@ -748,7 +763,7 @@ def test_irreducible_candidates_are_the_structural_filter(n):
     # criterion 4 searches the irreducible decompositions among the
     # structurally irreducible permutations; each of them is a part of some
     # built decomposition, and no other permutation is
-    built = {part for parts in decompose._built_decompositions(n, n) for part in parts}
+    built = {part for parts in decompose._built_decompositions(n, 0) for part in parts}
     assert sorted(built) == [p for p in _nonidentity(n) if is_irreducible_structural(p)]
     if n <= 5:
         assert sorted(built) == [p for p in _nonidentity(n) if is_irreducible(p)]
